@@ -150,18 +150,15 @@ class Engine {
     // Delta-restricted when `delta` is non-null: the pre-delta state was
     // already goal-checked, so only homomorphisms touching the delta can
     // newly satisfy a goal.
+    std::vector<GoalMatcher> matchers;
+    if (goals != nullptr) {
+      for (const std::vector<Atom>& goal : *goals) matchers.emplace_back(goal);
+    }
     auto goal_holds = [&](const Instance::DeltaMark* delta) {
-      if (goals == nullptr) return false;
-      for (const std::vector<Atom>& goal : *goals) {
+      for (GoalMatcher& matcher : matchers) {
         Metrics().hom_checks->IncrementCell();
         ++result_.goal_checks;
-        bool found =
-            delta != nullptr
-                ? FindHomomorphismDelta(goal, result_.instance, nullptr,
-                                        *delta)
-                      .has_value()
-                : FindHomomorphism(goal, result_.instance).has_value();
-        if (found) {
+        if (matcher.Holds(result_.instance, delta)) {
           Metrics().hom_checks_ok->IncrementCell();
           return true;
         }

@@ -76,6 +76,11 @@ struct ChaseOptions {
   /// one relevant relation from the computed set so the
   /// goal-pruned-vs-full checker can prove it catches unsound pruning.
   bool inject_overprune_for_testing = false;
+  /// Test-only hook (rbda_fuzz --inject-bug=stale-goal): the linear
+  /// engine's goal matcher stops re-checking unmatched goal components
+  /// after the first depth (logic/homomorphism.h), so the
+  /// linear-vs-generic checker can prove it catches a missed goal.
+  bool inject_stale_goal_for_testing = false;
   /// Set internally by the containment engines when prune_to_goal is on:
   /// the relevance bitset (indexed by RelationId) the chase restricts
   /// firing to. Null = fire everything. Not an input — callers leave it

@@ -45,6 +45,7 @@ struct ContainmentMetrics {
   Counter* chase_triggers_tgd;
   Counter* chase_facts_created;
   Counter* chase_exhausted_facts;
+  Counter* chase_exhausted_rounds;
 };
 
 const ContainmentMetrics& Metrics() {
@@ -71,6 +72,7 @@ const ContainmentMetrics& Metrics() {
         r.GetCounter("chase.triggers.tgd"),
         r.GetCounter("chase.facts_created"),
         r.GetCounter("chase.exhausted.facts"),
+        r.GetCounter("chase.exhausted.rounds"),
     };
   }();
   return m;
@@ -215,7 +217,8 @@ CacheKey MakeLinearKey(const Instance& start, const std::vector<Atom>& goal,
   // Keyed for the same reason as the generic engine: pruned runs can be
   // strictly more definite than unpruned ones.
   key.push_back((options.prune_to_goal ? 1u : 0u) |
-                (options.inject_overprune_for_testing ? 2u : 0u));
+                (options.inject_overprune_for_testing ? 2u : 0u) |
+                (options.inject_stale_goal_for_testing ? 4u : 0u));
   return key;
 }
 
@@ -330,6 +333,171 @@ const char* VerdictName(ContainmentVerdict v) {
   }
   return "?";
 }
+
+// A linear TGD compiled once per check for the JK depth loop. Its terms
+// become dense slots: body variables in first-occurrence order, then the
+// existential variables in ExistentialVariables() order. A frontier row is
+// unified with the body, probed for an existing head witness, and fired,
+// all over one slot array — no Substitution, Instance or std::function
+// per fact or per trigger.
+class CompiledTgd {
+ public:
+  explicit CompiledTgd(const Tgd& tgd) : tgd_(&tgd) {
+    std::unordered_map<Term, uint32_t, TermHash> slot_of;
+    const Atom& body = tgd.body()[0];
+    body_relation_ = body.relation;
+    for (Term t : body.args) body_.push_back(Compile(t, &slot_of));
+    num_body_slots_ = static_cast<uint32_t>(slot_of.size());
+    for (Term y : tgd.ExistentialVariables()) {
+      slot_of.emplace(y, static_cast<uint32_t>(slot_of.size()));
+    }
+    num_slots_ = static_cast<uint32_t>(slot_of.size());
+    std::vector<bool> seen(num_slots_, false);
+    for (uint32_t s = 0; s < num_body_slots_; ++s) seen[s] = true;
+    for (const Atom& h : tgd.head()) {
+      HeadAtom atom{h.relation, {}};
+      for (Term t : h.args) {
+        auto it = slot_of.find(t);
+        if (t.IsConstant() || it == slot_of.end()) {
+          atom.steps.push_back(Step{Op::kConstant, 0, t});
+        } else {
+          atom.steps.push_back(
+              Step{seen[it->second] ? Op::kCheck : Op::kBind, it->second, t});
+          seen[it->second] = true;
+        }
+      }
+      head_.push_back(std::move(atom));
+    }
+  }
+
+  RelationId body_relation() const { return body_relation_; }
+  uint32_t num_slots() const { return num_slots_; }
+
+  // Unifies the body atom with `row`, binding the body slots.
+  bool MatchBody(FactRef row, Term* slots) const {
+    return Unify(body_, row, slots);
+  }
+
+  // Activeness test for a trigger whose body slots are bound: true when
+  // some head witness already exists. A single head atom is one probe of
+  // the smallest column posting over its bound positions (constants and
+  // exported slots); existential positions only have to agree with each
+  // other. A multi-atom head keeps the generic search.
+  bool HasWitness(const Instance& inst, Term* slots) const {
+    if (head_.size() != 1) {
+      Substitution seed;
+      for (const Step& step : body_) {
+        if (step.op == Op::kBind) seed.emplace(step.term, slots[step.slot]);
+      }
+      return FindHomomorphism(tgd_->head(), inst, &seed).has_value();
+    }
+    const HeadAtom& head = head_[0];
+    FactRange rows = inst.FactsOf(head.relation);
+    if (rows.empty() || rows[0].arity() != head.steps.size()) return false;
+    const std::vector<uint32_t>* postings = nullptr;
+    for (uint32_t p = 0; p < head.steps.size(); ++p) {
+      const Step& step = head.steps[p];
+      if (step.op == Op::kBind ||
+          (step.op == Op::kCheck && step.slot >= num_body_slots_)) {
+        continue;  // existential: free in the probe
+      }
+      Term value = step.op == Op::kConstant ? step.term : slots[step.slot];
+      const std::vector<uint32_t>& list =
+          inst.FactsWith(head.relation, p, value);
+      if (list.empty()) return false;
+      if (postings == nullptr || list.size() < postings->size()) {
+        postings = &list;
+      }
+    }
+    if (postings == nullptr) {
+      for (FactRef row : rows) {
+        if (Unify(head.steps, row, slots)) return true;
+      }
+      return false;
+    }
+    for (uint32_t i : *postings) {
+      if (Unify(head.steps, rows[i], slots)) return true;
+    }
+    return false;
+  }
+
+  // Fires the trigger: mints the existential nulls, then adds the head
+  // rows in head order. Appends each new row to `created`; false when the
+  // instance refused a row (row-id space exhausted).
+  bool Fire(Instance* inst, Universe* universe, Term* slots,
+            std::vector<Term>* row, std::vector<FactRef>* created) const {
+    for (uint32_t s = num_body_slots_; s < num_slots_; ++s) {
+      slots[s] = universe->FreshNull();
+    }
+    for (const HeadAtom& head : head_) {
+      row->clear();
+      for (const Step& step : head.steps) {
+        row->push_back(step.op == Op::kConstant ? step.term
+                                                : slots[step.slot]);
+      }
+      bool inserted = false;
+      if (!inst->TryAddRow(head.relation, *row, &inserted).ok()) return false;
+      if (inserted) {
+        FactRange rows = inst->FactsOf(head.relation);
+        created->push_back(rows[rows.size() - 1]);
+      }
+    }
+    return true;
+  }
+
+ private:
+  // How one atom position relates to the slots.
+  enum class Op : uint8_t {
+    kConstant,  // holds `term`
+    kBind,      // first occurrence of `slot`: takes the row's value
+    kCheck,     // bound `slot`: must equal the row's value
+  };
+  struct Step {
+    Op op;
+    uint32_t slot;
+    Term term;  // the constant, or the variable `slot` stands for
+  };
+  struct HeadAtom {
+    RelationId relation;
+    std::vector<Step> steps;
+  };
+
+  static Step Compile(Term t,
+                      std::unordered_map<Term, uint32_t, TermHash>* slot_of) {
+    if (t.IsConstant()) return Step{Op::kConstant, 0, t};
+    auto [it, inserted] =
+        slot_of->emplace(t, static_cast<uint32_t>(slot_of->size()));
+    return Step{inserted ? Op::kBind : Op::kCheck, it->second, t};
+  }
+
+  static bool Unify(const std::vector<Step>& steps, FactRef row,
+                    Term* slots) {
+    if (row.arity() != steps.size()) return false;
+    for (uint32_t p = 0; p < steps.size(); ++p) {
+      const Step& step = steps[p];
+      Term v = row.arg(p);
+      switch (step.op) {
+        case Op::kConstant:
+          if (v != step.term) return false;
+          break;
+        case Op::kBind:
+          slots[step.slot] = v;
+          break;
+        case Op::kCheck:
+          if (slots[step.slot] != v) return false;
+          break;
+      }
+    }
+    return true;
+  }
+
+  const Tgd* tgd_;
+  RelationId body_relation_ = 0;
+  std::vector<Step> body_;
+  std::vector<HeadAtom> head_;
+  uint32_t num_body_slots_ = 0;
+  uint32_t num_slots_ = 0;
+};
 
 }  // namespace
 
@@ -630,21 +798,25 @@ ContainmentOutcome CheckLinearContainmentFrom(
   ContainmentOutcome out;
   Instance& inst = out.chase.instance;
 
-  // Breadth-first by depth level: `frontier` holds the facts created at the
-  // current depth; triggers are fired on frontier facts only (each linear
+  // Breadth-first by depth level: `frontier` holds the rows created at the
+  // current depth; triggers are fired on frontier rows only (each linear
   // TGD has a single body atom, so every trigger is rooted at one fact).
+  // The instance is append-only, so the row views stay valid.
   // A row-id-cap overflow anywhere in the linear chase degrades the check
   // to kUnknown (a budget-style outcome) instead of aborting the process —
   // the daemon serves the request as incomplete and stays up.
   bool row_ids_exhausted = false;
-  std::vector<Fact> frontier;
+  std::vector<FactRef> frontier;
   start.ForEachFactUntil([&](FactRef f) {
     bool inserted = false;
     if (!inst.TryAddRow(f.relation(), f.args(), &inserted).ok()) {
       row_ids_exhausted = true;
       return false;
     }
-    if (inserted) frontier.push_back(Fact(f));
+    if (inserted) {
+      FactRange rows = inst.FactsOf(f.relation());
+      frontier.push_back(rows[rows.size() - 1]);
+    }
     return true;
   });
 
@@ -652,13 +824,11 @@ ContainmentOutcome CheckLinearContainmentFrom(
   // already goal-checked, and the linear instance is append-only (no EGD
   // rebuilds), so marks stay valid and only homomorphisms touching the
   // depth's new facts can newly satisfy the goal.
+  GoalMatcher matcher(goal, options.inject_stale_goal_for_testing);
   auto goal_holds = [&](const Instance::DeltaMark* delta) {
     Metrics().hom_checks->IncrementCell();
     ++out.chase.goal_checks;
-    bool found =
-        delta != nullptr
-            ? FindHomomorphismDelta(goal, inst, nullptr, *delta).has_value()
-            : FindHomomorphism(goal, inst).has_value();
+    bool found = matcher.Holds(inst, delta);
     if (found) Metrics().hom_checks_ok->IncrementCell();
     return found;
   };
@@ -716,54 +886,46 @@ ContainmentOutcome CheckLinearContainmentFrom(
     return finish(ContainmentVerdict::kNotContained);
   }
 
+  // The trigger plan: each enabled TGD compiled once, indexed by its body
+  // relation in TGD order (the order the chase tries them in).
+  std::vector<CompiledTgd> compiled;
+  std::vector<std::vector<uint32_t>> by_relation;
+  uint32_t num_slots = 0;
+  for (size_t ti = 0; ti < linear_tgds.size(); ++ti) {
+    if (!tgd_enabled.empty() && !tgd_enabled[ti]) continue;  // pruned
+    const CompiledTgd& c = compiled.emplace_back(linear_tgds[ti]);
+    if (c.body_relation() >= by_relation.size()) {
+      by_relation.resize(c.body_relation() + 1);
+    }
+    by_relation[c.body_relation()].push_back(
+        static_cast<uint32_t>(compiled.size() - 1));
+    num_slots = std::max(num_slots, c.num_slots());
+  }
+  std::vector<Term> slots(num_slots);
+  std::vector<Term> row;
+
   for (uint64_t depth = 1; depth <= max_depth && !frontier.empty(); ++depth) {
     out.depth_reached = depth;
     // Everything below the mark was goal-checked after the previous depth
     // (or initially), so the post-depth check can be delta-restricted.
     Instance::DeltaMark depth_mark = inst.Mark();
-    std::vector<Fact> next;
-    for (const Fact& fact : frontier) {
+    std::vector<FactRef> next;
+    for (FactRef fact : frontier) {
       if (row_ids_exhausted) break;
-      Instance just_fact;
-      just_fact.AddFact(fact);
-      for (size_t ti = 0; ti < linear_tgds.size(); ++ti) {
-        if (!tgd_enabled.empty() && !tgd_enabled[ti]) continue;  // pruned
-        const Tgd& tgd = linear_tgds[ti];
-        if (row_ids_exhausted) break;
-        if (tgd.body()[0].relation != fact.relation) continue;
-        // All body matches of this single-atom body against `fact`.
-        ForEachHomomorphism(
-            tgd.body(), just_fact, nullptr, [&](const Substitution& sub) {
-              Substitution seed;
-              for (Term x : tgd.ExportedVariables()) {
-                seed.emplace(x, ApplyToTerm(sub, x));
-              }
-              Metrics().activeness_checks->IncrementCell();
-              if (FindHomomorphism(tgd.head(), inst, &seed).has_value()) {
-                return true;  // not active
-              }
-              Substitution extension = seed;
-              for (Term y : tgd.ExistentialVariables()) {
-                extension.emplace(y, universe->FreshNull());
-              }
-              uint64_t created_count = 0;
-              for (const Atom& h : tgd.head()) {
-                Fact created = ApplyToAtom(extension, h);
-                bool inserted = false;
-                if (!inst.TryAddFact(created, &inserted).ok()) {
-                  row_ids_exhausted = true;
-                  return false;  // stop enumerating; degrade below
-                }
-                if (inserted) {
-                  next.push_back(created);
-                  ++created_count;
-                }
-              }
-              ++out.chase.tgd_steps;
-              Metrics().chase_triggers_tgd->IncrementCell();
-              Metrics().chase_facts_created->IncrementCell(created_count);
-              return true;
-            });
+      if (fact.relation() >= by_relation.size()) continue;
+      for (uint32_t ci : by_relation[fact.relation()]) {
+        const CompiledTgd& c = compiled[ci];
+        if (!c.MatchBody(fact, slots.data())) continue;
+        Metrics().activeness_checks->IncrementCell();
+        if (c.HasWitness(inst, slots.data())) continue;  // not active
+        size_t before = next.size();
+        if (!c.Fire(&inst, universe, slots.data(), &row, &next)) {
+          row_ids_exhausted = true;  // degrade below
+          break;
+        }
+        ++out.chase.tgd_steps;
+        Metrics().chase_triggers_tgd->IncrementCell();
+        Metrics().chase_facts_created->IncrementCell(next.size() - before);
       }
     }
     out.chase.rounds = depth;
@@ -786,11 +948,18 @@ ContainmentOutcome CheckLinearContainmentFrom(
     frontier = std::move(next);
   }
 
-  // Empty frontier: the chase terminated before the depth bound — exact
-  // answer. Otherwise the depth bound was reached: complete by the
-  // Johnson–Klug argument when max_depth is the JK bound for this
-  // constraint set.
-  out.chase.status = ChaseStatus::kCompleted;
+  // Empty frontier: the chase terminated — exact answer. Otherwise the
+  // depth bound stopped it: the verdict stays kNotContained, which is
+  // complete by the Johnson–Klug argument only when max_depth is the JK
+  // bound for this constraint set, so the run reports the rounds budget
+  // and the caller decides.
+  if (frontier.empty()) {
+    out.chase.status = ChaseStatus::kCompleted;
+  } else {
+    out.chase.status = ChaseStatus::kBudgetExceeded;
+    out.chase.exhausted = ChaseExhausted::kRounds;
+    Metrics().chase_exhausted_rounds->IncrementCell();
+  }
   return finish(ContainmentVerdict::kNotContained);
 }
 

@@ -9,7 +9,23 @@
 //    TGDs (single body atom): a depth-bounded breadth-first chase which is
 //    sound AND complete when run to the JK depth bound for IDs / linear
 //    TGDs of bounded semi-width (paper Prop 5.6 / E.8). This is the engine
-//    behind the paper's NP results after linearization.
+//    behind the paper's NP results after linearization. Each check
+//    compiles its TGDs once into a trigger plan: variables become dense
+//    slots, the body atom is unified directly against each frontier row,
+//    activeness is one probe of the smallest column posting over the
+//    head's bound positions (a multi-atom head keeps the generic
+//    homomorphism search), nulls are minted in ExistentialVariables()
+//    order, and frontiers are FactRef row views into the append-only
+//    instance. No Instance, Substitution or std::function is built per
+//    fact or per trigger; the chase — facts, order, nulls — must stay the
+//    restricted chase a generic homomorphism search over the same TGDs
+//    would run (tests/linear_chase_test.cpp pins it).
+//
+// Both engines test the goal after every round through one incremental
+// GoalMatcher (logic/homomorphism.h): the goal splits into connected
+// components, a component stays matched once it has a match, and each
+// round delta-checks only the unmatched components — so a never-matching
+// component is not re-joined with the matched ones at every depth.
 //
 // Both engines consult a process-wide memoization cache keyed by a
 // canonical encoding of (start instance, goal, constraint set, engine
@@ -97,8 +113,11 @@ ContainmentOutcome CheckLinearContainment(const ConjunctiveQuery& q,
 
 /// Depth-bounded linear engine starting from an explicit instance. Of the
 /// options bag, the linear engine honors use_containment_cache,
-/// prune_to_goal, and inject_overprune_for_testing (depth/fact budgets
-/// are the explicit parameters).
+/// prune_to_goal and the inject_*_for_testing hooks (depth/fact budgets
+/// are the explicit parameters). A run the depth bound stops with a
+/// non-empty frontier reports kNotContained with status kBudgetExceeded
+/// and exhausted = kRounds: the verdict is a decision only when
+/// `max_depth` is the JK bound.
 ContainmentOutcome CheckLinearContainmentFrom(
     const Instance& start, const std::vector<Atom>& goal,
     const std::vector<Tgd>& linear_tgds, Universe* universe,

@@ -188,10 +188,12 @@ bool CounterModelRefutesGoals(const Instance& start,
   // quotient map from the real chase into it shows every chase fact has
   // an image here, so a goal that fails here fails in the chase too.
   std::vector<Substitution> witnesses(tgds.size());
+  std::vector<std::vector<Term>> exported(tgds.size());
   for (size_t i = 0; i < tgds.size(); ++i) {
     for (Term y : tgds[i].ExistentialVariables()) {
       witnesses[i].emplace(y, universe->FreshNull());
     }
+    exported[i] = tgds[i].ExportedVariables();
   }
   // Cardinality rules need up to `bound` DISTINCT target facts per
   // binding, so each rule gets a lazily-grown pool of witness rows, one
@@ -206,7 +208,7 @@ bool CounterModelRefutesGoals(const Instance& start,
       ForEachHomomorphism(
           tgd.body(), m, nullptr, [&](const Substitution& sub) {
             Substitution ext = witnesses[i];
-            for (Term x : tgd.ExportedVariables()) {
+            for (Term x : exported[i]) {
               ext.emplace(x, ApplyToTerm(sub, x));
             }
             for (const Atom& h : tgd.head()) {

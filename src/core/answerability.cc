@@ -107,46 +107,6 @@ StatusOr<Decision> GenericPipeline(const ServiceSchema& work,
   return d;
 }
 
-// Linear pipeline (IDs and UIDs+FDs after separability): linearize, then
-// run the depth-bounded Johnson–Klug chase.
-StatusOr<Decision> LinearPipeline(const ServiceSchema& work,
-                                  const ConjunctiveQuery& q,
-                                  const TermSet& accessible_constants,
-                                  const std::vector<LinearizedMethod>& methods,
-                                  const DecisionOptions& options,
-                                  std::string procedure) {
-  StatusOr<LinearizedProblem> lin = TimedStage(Stages().reduction_us, [&] {
-    return LinearizeAnswerability(work, q, methods, &accessible_constants);
-  });
-  RBDA_RETURN_IF_ERROR(lin.status());
-  Universe* universe = const_cast<Universe*>(&work.universe());
-  uint64_t depth = std::min(lin->jk_depth_bound, options.linear_depth_cap);
-  ContainmentOutcome outcome = TimedStage(Stages().containment_us, [&] {
-    return CheckLinearContainmentFrom(lin->start, lin->goal, lin->tgds,
-                                      universe, depth,
-                                      options.linear_max_facts,
-                                      options.chase);
-  });
-  Decision d;
-  d.procedure = std::move(procedure);
-  d.verdict = FromVerdict(outcome.verdict);
-  d.gamma_size = lin->tgds.size();
-  d.depth_bound = lin->jk_depth_bound;
-  FillStats(&d, outcome);
-  // A kNotContained verdict is a decision when the chase either terminated
-  // on its own or ran to the full JK bound.
-  bool ran_full_bound = depth == lin->jk_depth_bound;
-  bool terminated = outcome.depth_reached < depth ||
-                    outcome.chase.status == ChaseStatus::kCompleted;
-  if (outcome.verdict == ContainmentVerdict::kNotContained) {
-    d.complete = terminated || ran_full_bound;
-    if (!d.complete) d.verdict = Answerability::kUnknown;
-  } else {
-    d.complete = outcome.verdict != ContainmentVerdict::kUnknown;
-  }
-  return d;
-}
-
 // Applies the FDs to the canonical database of q and rebuilds a minimized
 // query (the Thm 7.2 pre-step).
 ConjunctiveQuery MinimizeUnderFds(const ConjunctiveQuery& q,
@@ -162,7 +122,107 @@ ConjunctiveQuery MinimizeUnderFds(const ConjunctiveQuery& q,
   return ConjunctiveQuery(std::move(atoms), q.free_variables()).Minimize();
 }
 
+// Builds the containment problem the linear engine runs on. The IDs row
+// linearizes the schema and query as they are (existence-check regime).
+// The UIDs+FDs row applies choice simplification (Thm 6.4), minimizes the
+// query under the FDs, exports DetBy(mt) and drops the FDs (separability,
+// Thm 7.2) first.
+StatusOr<LinearizedProblem> Linearize(const ServiceSchema& schema,
+                                      const ConjunctiveQuery& q,
+                                      Fragment fragment,
+                                      const TermSet& accessible_constants) {
+  std::vector<LinearizedMethod> methods;
+  if (fragment == Fragment::kIdsOnly) {
+    for (const AccessMethod& m : schema.methods()) {
+      LinearizedMethod lm;
+      lm.method = &m;
+      lm.kept_positions = m.input_positions;
+      lm.visible_outputs = false;
+      methods.push_back(std::move(lm));
+    }
+    return TimedStage(Stages().reduction_us, [&] {
+      return LinearizeAnswerability(schema, q, methods, &accessible_constants);
+    });
+  }
+  ServiceSchema separated = TimedStage(
+      Stages().simplification_us, [&] { return ChoiceSimplification(schema); });
+  separated.constraints().fds.clear();
+  ConjunctiveQuery minimized =
+      MinimizeUnderFds(q, schema.constraints().fds,
+                       const_cast<Universe*>(&schema.universe()));
+  for (const AccessMethod& m : separated.methods()) {
+    LinearizedMethod lm;
+    lm.method = &m;
+    lm.kept_positions =
+        DetBy(schema.constraints().fds, m.relation, m.input_positions);
+    lm.visible_outputs = true;
+    methods.push_back(std::move(lm));
+  }
+  return TimedStage(Stages().reduction_us, [&] {
+    return LinearizeAnswerability(separated, minimized, methods,
+                                  &accessible_constants);
+  });
+}
+
+// Linear pipeline (IDs, and UIDs+FDs after separability): linearize, then
+// run the depth-bounded Johnson–Klug chase.
+StatusOr<Decision> LinearPipeline(const ServiceSchema& schema,
+                                  const ConjunctiveQuery& q,
+                                  Fragment fragment,
+                                  const TermSet& accessible_constants,
+                                  const DecisionOptions& options,
+                                  std::string procedure) {
+  StatusOr<LinearizedProblem> lin =
+      Linearize(schema, q, fragment, accessible_constants);
+  RBDA_RETURN_IF_ERROR(lin.status());
+  Universe* universe = const_cast<Universe*>(&schema.universe());
+  uint64_t depth = std::min(lin->jk_depth_bound, options.linear_depth_cap);
+  ContainmentOutcome outcome = TimedStage(Stages().containment_us, [&] {
+    return CheckLinearContainmentFrom(lin->start, lin->goal, lin->tgds,
+                                      universe, depth,
+                                      options.linear_max_facts,
+                                      options.chase);
+  });
+  Decision d;
+  d.procedure = std::move(procedure);
+  d.verdict = FromVerdict(outcome.verdict);
+  d.gamma_size = lin->tgds.size();
+  d.depth_bound = lin->jk_depth_bound;
+  FillStats(&d, outcome);
+  // A kNotContained verdict is a decision when the chase either terminated
+  // on its own or ran to the full JK bound; a chase the depth cap stopped
+  // short of the bound reports the rounds budget instead.
+  bool ran_full_bound = depth == lin->jk_depth_bound;
+  bool terminated = outcome.chase.status == ChaseStatus::kCompleted;
+  if (outcome.verdict == ContainmentVerdict::kNotContained) {
+    d.complete = terminated || ran_full_bound;
+    if (d.complete) {
+      d.exhausted = ChaseExhausted::kNone;
+    } else {
+      d.verdict = Answerability::kUnknown;
+    }
+  } else {
+    d.complete = outcome.verdict != ContainmentVerdict::kUnknown;
+  }
+  return d;
+}
+
 }  // namespace
+
+StatusOr<LinearizedProblem> LinearizeForDecision(
+    const ServiceSchema& schema, const ConjunctiveQuery& q,
+    const DecisionOptions& options) {
+  Fragment fragment = schema.constraints().Classify();
+  if (fragment != Fragment::kIdsOnly && fragment != Fragment::kUidsAndFds) {
+    return Status::FailedPrecondition(
+        std::string("the decider does not linearize the ") +
+        FragmentName(fragment) + " fragment");
+  }
+  TermSet accessible_constants = options.accessible_constants.has_value()
+                                     ? *options.accessible_constants
+                                     : q.Constants();
+  return Linearize(schema, q, fragment, accessible_constants);
+}
 
 FrozenQuery FreezeQuery(const ConjunctiveQuery& q, Universe* universe) {
   FrozenQuery out;
@@ -232,16 +292,8 @@ StatusOr<Decision> DecideMonotoneAnswerability(const ServiceSchema& schema,
       }
       case Fragment::kIdsOnly: {
         if (options.use_linearization) {
-          std::vector<LinearizedMethod> methods;
-          for (const AccessMethod& m : schema.methods()) {
-            LinearizedMethod lm;
-            lm.method = &m;
-            lm.kept_positions = m.input_positions;
-            lm.visible_outputs = false;
-            methods.push_back(std::move(lm));
-          }
           decision = LinearPipeline(
-              schema, q, accessible_constants, methods, options,
+              schema, q, fragment, accessible_constants, options,
               "existence-check (Thm 4.2) + linearization (Prop 5.5) + "
               "Johnson–Klug chase");
         } else {
@@ -259,26 +311,8 @@ StatusOr<Decision> DecideMonotoneAnswerability(const ServiceSchema& schema,
         break;
       }
       case Fragment::kUidsAndFds: {
-        ServiceSchema choice =
-            TimedStage(Stages().simplification_us,
-                       [&] { return ChoiceSimplification(schema); });
-        ConjunctiveQuery minimized = MinimizeUnderFds(
-            q, schema.constraints().fds,
-            const_cast<Universe*>(&schema.universe()));
-        // Separability (Thm 7.2): export DetBy(mt) and drop the FDs.
-        std::vector<LinearizedMethod> methods;
-        for (const AccessMethod& m : choice.methods()) {
-          LinearizedMethod lm;
-          lm.method = &m;
-          lm.kept_positions =
-              DetBy(schema.constraints().fds, m.relation, m.input_positions);
-          lm.visible_outputs = true;
-          methods.push_back(std::move(lm));
-        }
-        ServiceSchema separated = choice;
-        separated.constraints().fds.clear();
         decision = LinearPipeline(
-            separated, minimized, accessible_constants, methods, options,
+            schema, q, fragment, accessible_constants, options,
             "choice simplification (Thm 6.4) + separability rewriting "
             "(Thm 7.2) + linear chase");
         break;

@@ -25,6 +25,7 @@
 #define RBDA_CORE_ANSWERABILITY_H_
 
 #include "chase/containment.h"
+#include "core/linearization.h"
 #include "core/reduction.h"
 
 namespace rbda {
@@ -72,6 +73,15 @@ StatusOr<Decision> DecideMonotoneAnswerability(
 /// *non-accessible* constants (their values are plan outputs, not inputs)
 /// and decides the Boolean problem.
 StatusOr<Decision> DecideQueryAnswerability(
+    const ServiceSchema& schema, const ConjunctiveQuery& q,
+    const DecisionOptions& options = {});
+
+/// The linearized containment problem DecideMonotoneAnswerability hands
+/// the Johnson–Klug engine for the IDs and UIDs+FDs rows (it runs the
+/// engine to min(jk_depth_bound, linear_depth_cap)). FailedPrecondition
+/// for the fragments the decider does not linearize. The fuzz battery's
+/// linear-vs-generic checker poses it to both containment engines.
+StatusOr<LinearizedProblem> LinearizeForDecision(
     const ServiceSchema& schema, const ConjunctiveQuery& q,
     const DecisionOptions& options = {});
 

@@ -186,6 +186,56 @@ CheckReport RunCheckerBattery(const ServiceSchema& schema,
     }
   }
 
+  // --- linear-vs-generic: the JK engine against the generic chase. ---
+  if (options.check_linear_generic) {
+    bool ran = false;
+    StatusOr<LinearizedProblem> lin =
+        LinearizeForDecision(schema, query, options.decide);
+    if (lin.ok()) {
+      const uint64_t depth =
+          std::min(lin->jk_depth_bound, options.decide.linear_depth_cap);
+      ChaseOptions chase = options.decide.chase;
+      chase.use_containment_cache = false;
+      ChaseOptions linear_opts = chase;
+      linear_opts.inject_stale_goal_for_testing =
+          options.inject_stale_goal_bug;
+      ContainmentOutcome linear = CheckLinearContainmentFrom(
+          lin->start, lin->goal, lin->tgds, &universe, depth,
+          options.decide.linear_max_facts, linear_opts);
+      ChaseOptions generic_opts = chase;
+      generic_opts.use_semi_naive = true;
+      generic_opts.max_rounds = depth;
+      generic_opts.max_facts = options.decide.linear_max_facts;
+      ConstraintSet sigma;
+      sigma.tgds = lin->tgds;
+      ContainmentOutcome generic = CheckContainmentFrom(
+          lin->start, lin->goal, sigma, &universe, generic_opts);
+      auto definite = [](const ContainmentOutcome& o) {
+        return o.verdict == ContainmentVerdict::kContained ||
+               (o.verdict == ContainmentVerdict::kNotContained &&
+                o.chase.status == ChaseStatus::kCompleted);
+      };
+      ran = definite(linear) && definite(generic);
+      if (ran && linear.verdict != generic.verdict) {
+        auto name = [](ContainmentVerdict v) {
+          return v == ContainmentVerdict::kContained ? "contained"
+                                                     : "not contained";
+        };
+        AddFinding(&report, "linear-vs-generic",
+                   std::string(options.inject_stale_goal_bug
+                                   ? "stale-goal-injected "
+                                   : "") +
+                       "linear engine says " + name(linear.verdict) +
+                       " (depth " + std::to_string(linear.depth_reached) +
+                       ") but the generic chase says " +
+                       name(generic.verdict) + " (round " +
+                       std::to_string(generic.chase.rounds) + ") on " +
+                       FragmentName(fragment));
+      }
+    }
+    count(ran);
+  }
+
   // --- simplification-differential: Table 1 equivalence theorems. ---
   if (options.check_simplification) {
     const char* simp_name = nullptr;

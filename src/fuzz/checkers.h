@@ -32,6 +32,11 @@
 //    definite verdicts must agree. Pruning being *more* complete (definite
 //    where the full chase tripped its budget) is the designed win, not a
 //    finding.
+//  * linear-vs-generic        — for cases the decider linearizes (IDs,
+//    UIDs+FDs), the Johnson–Klug linear engine against the generic
+//    semi-naive chase run to the same depth and fact budget on the same
+//    linearized problem; definite verdicts (kContained, or kNotContained
+//    from a terminated chase) must agree.
 //  * fault-injection          — the synthesized monotone plan executed
 //    under N seeded fault plans in partial-result mode must yield outputs
 //    ⊆ the fault-free output (monotonicity ⇒ degradation is a sound
@@ -93,6 +98,13 @@ struct CheckerOptions {
   /// resulting definite-verdict flips; never enabled outside tests / the
   /// --inject-bug=overprune flag.
   bool inject_overprune_bug = false;
+  /// Test-only fault injection for the goal matcher: the
+  /// linear-vs-generic checker runs the linear engine with
+  /// ChaseOptions::inject_stale_goal_for_testing, whose goal matcher stops
+  /// re-checking unmatched goal components after the first depth. The
+  /// checker must catch the goals this misses; never enabled outside
+  /// tests / the --inject-bug=stale-goal flag.
+  bool inject_stale_goal_bug = false;
   // Per-checker toggles (all on by default).
   bool check_naive = true;
   bool check_simplification = true;
@@ -101,6 +113,7 @@ struct CheckerOptions {
   bool check_chase = true;
   bool check_containment_cache = true;
   bool check_goal_pruned = true;
+  bool check_linear_generic = true;
   bool check_roundtrip = true;
   bool check_fault_injection = true;
 

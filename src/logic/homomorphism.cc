@@ -1,6 +1,7 @@
 #include "logic/homomorphism.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace rbda {
 
@@ -297,6 +298,50 @@ std::optional<Substitution> FindHomomorphismDelta(
                              return false;  // stop at first
                            });
   return found;
+}
+
+GoalMatcher::GoalMatcher(const std::vector<Atom>& goal,
+                         bool inject_stale_for_testing)
+    : inject_stale_for_testing_(inject_stale_for_testing) {
+  // Union-find over atom indexes; atoms sharing a non-constant term join.
+  std::vector<size_t> parent(goal.size());
+  for (size_t i = 0; i < goal.size(); ++i) parent[i] = i;
+  auto find = [&parent](size_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  std::unordered_map<Term, size_t, TermHash> first_atom;
+  for (size_t i = 0; i < goal.size(); ++i) {
+    for (Term t : goal[i].args) {
+      if (t.IsConstant()) continue;
+      auto [it, inserted] = first_atom.emplace(t, i);
+      if (!inserted) parent[find(i)] = find(it->second);
+    }
+  }
+  // Components in order of their first atom, atoms in goal order.
+  std::vector<size_t> component_of(goal.size(), SIZE_MAX);
+  for (size_t i = 0; i < goal.size(); ++i) {
+    size_t root = find(i);
+    if (component_of[root] == SIZE_MAX) {
+      component_of[root] = unmatched_.size();
+      unmatched_.emplace_back();
+    }
+    unmatched_[component_of[root]].push_back(goal[i]);
+  }
+}
+
+bool GoalMatcher::Holds(const Instance& target,
+                        const Instance::DeltaMark* delta) {
+  if (delta != nullptr && inject_stale_for_testing_ && delta_checks_++ > 0) {
+    return unmatched_.empty();
+  }
+  std::erase_if(unmatched_, [&](const std::vector<Atom>& component) {
+    return delta != nullptr
+               ? FindHomomorphismDelta(component, target, nullptr, *delta)
+                     .has_value()
+               : FindHomomorphism(component, target).has_value();
+  });
+  return unmatched_.empty();
 }
 
 bool InstanceHomomorphismExists(const Instance& source,

@@ -66,6 +66,33 @@ std::optional<Substitution> FindHomomorphismDelta(
     const std::vector<Atom>& atoms, const Instance& target,
     const Substitution* seed, const Instance::DeltaMark& delta);
 
+/// Incremental goal check for a chase that tests a Boolean goal against
+/// one instance after every round. The goal is split into connected
+/// components (atoms linked by shared non-constant terms), which match
+/// independently. A matched component stays matched: the chase engines
+/// only grow the instance, and their FD merges keep constants as
+/// representatives, so a merge carries every match along. Each call
+/// therefore searches only the still-unmatched components.
+class GoalMatcher {
+ public:
+  /// `inject_stale_for_testing` plants a bug for the fuzz checkers to
+  /// catch: after its first delta check the matcher stops re-checking
+  /// unmatched components, so goals first matched deeper are missed.
+  explicit GoalMatcher(const std::vector<Atom>& goal,
+                       bool inject_stale_for_testing = false);
+
+  /// True iff the whole goal has a homomorphism into `target`. With
+  /// `delta` non-null, unmatched components only look for homomorphisms
+  /// touching facts appended since `delta`; the previous call must have
+  /// seen `target` as it was when `delta` was taken.
+  bool Holds(const Instance& target, const Instance::DeltaMark* delta);
+
+ private:
+  std::vector<std::vector<Atom>> unmatched_;
+  bool inject_stale_for_testing_;
+  uint64_t delta_checks_ = 0;
+};
+
 /// True if there is a homomorphism from instance `source` into `target`
 /// (constants fixed, nulls and variables mappable).
 bool InstanceHomomorphismExists(const Instance& source,

@@ -136,7 +136,7 @@ TEST(FuzzLoopTest, InjectedPartialBugIsCaughtAndShrunk) {
   CheckerOptions& c = options.checkers;
   c.check_naive = c.check_simplification = c.check_oracle = c.check_plan =
       c.check_chase = c.check_containment_cache = c.check_goal_pruned =
-          c.check_roundtrip = false;
+          c.check_linear_generic = c.check_roundtrip = false;
   FuzzReport report = RunFuzzer(options);
   ASSERT_FALSE(report.findings.empty())
       << "the injected non-monotone degradation bug went undetected";
@@ -164,8 +164,8 @@ TEST(FuzzLoopTest, InjectedOverpruneBugIsCaughtAndShrunk) {
   // Only the prune-differential checker, so every finding is attributable.
   CheckerOptions& c = options.checkers;
   c.check_naive = c.check_simplification = c.check_oracle = c.check_plan =
-      c.check_chase = c.check_containment_cache = c.check_roundtrip =
-          c.check_fault_injection = false;
+      c.check_chase = c.check_containment_cache = c.check_linear_generic =
+          c.check_roundtrip = c.check_fault_injection = false;
   FuzzReport report = RunFuzzer(options);
   ASSERT_FALSE(report.findings.empty())
       << "the injected overpruning bug went undetected";
@@ -178,6 +178,42 @@ TEST(FuzzLoopTest, InjectedOverpruneBugIsCaughtAndShrunk) {
     StatusOr<CheckReport> replay = ReplayDocument(f.shrunk, checkers);
     ASSERT_TRUE(replay.ok()) << replay.status().ToString();
     EXPECT_TRUE(replay->Has("goal-pruned-vs-full")) << f.shrunk;
+  }
+}
+
+TEST(FuzzLoopTest, InjectedStaleGoalBugIsCaughtAndShrunk) {
+  // --inject-bug=stale-goal: the linear engine's goal matcher stops
+  // re-checking unmatched goal components after the first depth, so it
+  // misses goals that first match deeper. The linear-vs-generic checker
+  // must catch the disagreement with the generic chase and the shrinker
+  // must minimize the document.
+  FuzzOptions options;
+  options.seed = 1;
+  options.iters = 60;
+  options.checkers.inject_stale_goal_bug = true;
+  // Only the engine-differential checker, so every finding is attributable.
+  CheckerOptions& c = options.checkers;
+  c.check_naive = c.check_simplification = c.check_oracle = c.check_plan =
+      c.check_chase = c.check_containment_cache = c.check_goal_pruned =
+          c.check_roundtrip = c.check_fault_injection = false;
+  FuzzReport report = RunFuzzer(options);
+  ASSERT_FALSE(report.findings.empty())
+      << "the injected stale goal matcher went undetected";
+  for (const FuzzFinding& f : report.findings) {
+    EXPECT_EQ(f.checker, "linear-vs-generic") << f.detail;
+    EXPECT_LE(CountLines(f.shrunk, "relation "), 3u) << f.shrunk;
+    EXPECT_LE(CountLines(f.shrunk, "tgd "), 3u) << f.shrunk;
+    // The minimized document still reproduces under its recorded seed,
+    // and is clean without the injected bug.
+    CheckerOptions checkers = options.checkers;
+    checkers.seed = f.case_seed;
+    StatusOr<CheckReport> replay = ReplayDocument(f.shrunk, checkers);
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    EXPECT_TRUE(replay->Has("linear-vs-generic")) << f.shrunk;
+    checkers.inject_stale_goal_bug = false;
+    StatusOr<CheckReport> clean = ReplayDocument(f.shrunk, checkers);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    EXPECT_TRUE(clean->AllAgree()) << f.shrunk;
   }
 }
 

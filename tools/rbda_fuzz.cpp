@@ -23,10 +23,15 @@
 //   --inject-bug=overprune — drops one backward-reachable relation from the
 //     relevance closure (CheckerOptions::inject_overprune_bug; the
 //     goal-pruned checker must flag the verdict flips)
+//   --inject-bug=stale-goal — the linear engine's goal matcher stops
+//     re-checking unmatched goal components after the first depth
+//     (CheckerOptions::inject_stale_goal_bug; the linear-vs-generic checker
+//     must flag the missed goals)
 // --checkers restricts the battery to the named checkers (comma-separated:
 // naive, simplification, oracle, plan, chase, containment-cache,
-// goal-pruned, roundtrip, fault-injection). --fault-plans sets how many
-// mutated fault plans the fault-injection checker runs per case.
+// goal-pruned, linear-generic, roundtrip, fault-injection). --fault-plans
+// sets how many mutated fault plans the fault-injection checker runs per
+// case.
 // --prune=off disables goal-directed relevance pruning in every decide the
 // battery runs (default on; RBDA_PRUNE=0 is the env equivalent).
 #include <cstdio>
@@ -52,7 +57,8 @@ int Usage() {
       "usage: rbda_fuzz [--seed=N] [--iters=N] "
       "[--fragment=id|fd|uidfd|chain] [--shrink=0|1] [--out-dir=path]\n"
       "                 [--jobs=N] [--prune=on|off]\n"
-      "                 [--inject-bug[=simplification|partial|overprune]] "
+      "                 "
+      "[--inject-bug[=simplification|partial|overprune|stale-goal]] "
       "[--checkers=name,...] [--fault-plans=N]\n"
       "                 [--replay=file.rbda] "
       "[--metrics[=path]] [--trace=path] "
@@ -145,10 +151,12 @@ bool FuzzCli::Parse(int argc, char** argv, FuzzCli* out) {
         out->fuzz.checkers.inject_partial_bug = true;
       } else if (value == "overprune") {
         out->fuzz.checkers.inject_overprune_bug = true;
+      } else if (value == "stale-goal") {
+        out->fuzz.checkers.inject_stale_goal_bug = true;
       } else {
         std::fprintf(stderr,
-                     "--inject-bug expects simplification|partial|overprune, "
-                     "got '%s'\n",
+                     "--inject-bug expects "
+                     "simplification|partial|overprune|stale-goal, got '%s'\n",
                      value.c_str());
         return false;
       }
@@ -156,8 +164,8 @@ bool FuzzCli::Parse(int argc, char** argv, FuzzCli* out) {
       CheckerOptions& c = out->fuzz.checkers;
       c.check_naive = c.check_simplification = c.check_oracle =
           c.check_plan = c.check_chase = c.check_containment_cache =
-              c.check_goal_pruned = c.check_roundtrip =
-                  c.check_fault_injection = false;
+              c.check_goal_pruned = c.check_linear_generic =
+                  c.check_roundtrip = c.check_fault_injection = false;
       std::stringstream names(value);
       std::string name;
       while (std::getline(names, name, ',')) {
@@ -175,6 +183,8 @@ bool FuzzCli::Parse(int argc, char** argv, FuzzCli* out) {
           c.check_containment_cache = true;
         } else if (name == "goal-pruned") {
           c.check_goal_pruned = true;
+        } else if (name == "linear-generic") {
+          c.check_linear_generic = true;
         } else if (name == "roundtrip") {
           c.check_roundtrip = true;
         } else if (name == "fault-injection") {
