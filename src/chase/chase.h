@@ -61,10 +61,6 @@ struct ChaseOptions {
   /// re-enumeration of every body homomorphism each round; results are
   /// homomorphically equivalent either way (ablation/property tests).
   bool use_semi_naive = true;
-  /// Consult/populate the process-wide containment memoization cache when
-  /// this options bag reaches CheckContainment* (no effect on RunChase
-  /// itself; see chase/containment.h).
-  bool use_containment_cache = true;
   /// Goal-directed relevance pruning (chase/relevance.h): the containment
   /// engines compute the relations backward-reachable from their goal and
   /// skip every TGD with no relevant head relation and every cardinality
@@ -84,9 +80,7 @@ struct ChaseOptions {
   /// Set internally by the containment engines when prune_to_goal is on:
   /// the relevance bitset (indexed by RelationId) the chase restricts
   /// firing to. Null = fire everything. Not an input — callers leave it
-  /// null; it is derived from (goal, Σ) and is NOT part of the
-  /// memoization key, so an externally supplied filter would alias
-  /// cache entries.
+  /// null; the engines derive it from (goal, Σ).
   const std::vector<bool>* relevant_relations = nullptr;
 };
 

@@ -1,9 +1,6 @@
 #include "chase/containment.h"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
-#include <mutex>
 #include <unordered_map>
 
 #include "chase/relevance.h"
@@ -21,14 +18,7 @@ struct ContainmentMetrics {
   Counter* hom_checks;
   Counter* hom_checks_ok;
   Counter* activeness_checks;
-  Counter* cache_hits;
-  Counter* cache_misses;
-  Counter* cache_evictions;
   Distribution* check_us;
-  // check_us split by containment-cache outcome; cache-off checks count
-  // as misses (they did the full chase either way).
-  Distribution* check_hit_us;
-  Distribution* check_miss_us;
   Distribution* linear_depth;
   // Goal-directed pruning (chase/relevance.h): checks that ran with
   // pruning on, total constraints the relevance analysis dropped, and
@@ -57,12 +47,7 @@ const ContainmentMetrics& Metrics() {
         r.GetCounter("containment.hom_checks"),
         r.GetCounter("containment.hom_checks.succeeded"),
         r.GetCounter("containment.activeness_checks"),
-        r.GetCounter("containment.cache.hits"),
-        r.GetCounter("containment.cache.misses"),
-        r.GetCounter("containment.cache.evictions"),
         r.GetDistribution("containment.check_us"),
-        r.GetDistribution("containment.check_us.hit"),
-        r.GetDistribution("containment.check_us.miss"),
         r.GetDistribution("containment.linear.depth"),
         r.GetCounter("containment.prune.checks"),
         r.GetCounter("containment.prune.constraints_pruned"),
@@ -77,244 +62,6 @@ const ContainmentMetrics& Metrics() {
   }();
   return m;
 }
-
-// ---- Containment memoization (see the header comment). ----
-//
-// A key is a canonical word sequence: the start instance's facts sorted
-// (its in-memory order is hash-map dependent), then the goal, constraints,
-// and engine options in caller order with length prefixes so adjacent
-// sections cannot alias. Variables and nulls are renamed to dense ids by
-// first occurrence in that encoding order, so repeated Decide calls —
-// whose reductions mint FreshVariable/FreshNull terms at ever-increasing
-// ids but with identical structure — canonicalize to the same key.
-// (Constants stay rigid: their identity links the instance to the goal and
-// to interned accessible-constant facts.) Full keys are compared on
-// lookup, so a 64-bit hash collision cannot produce a wrong verdict.
-
-using CacheKey = std::vector<uint64_t>;
-
-struct CacheKeyHash {
-  size_t operator()(const CacheKey& key) const {
-    uint64_t h = 0x243f6a8885a308d3ULL ^ key.size();
-    for (uint64_t w : key) {
-      h ^= w + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      h *= 0xbf58476d1ce4e5b9ULL;
-    }
-    return static_cast<size_t>(h ^ (h >> 29));
-  }
-};
-
-// Renames variables and nulls to first-occurrence dense ids (kind-tagged
-// in the top bits so a variable can never alias a null or a constant).
-// Canonical under any order-preserving renaming: sorting the start facts
-// by raw term bits yields the same relative order before and after such a
-// renaming, so the first-occurrence sequence matches too.
-class TermCanonicalizer {
- public:
-  uint64_t Encode(Term t) {
-    if (t.IsConstant()) return (1ULL << 62) | t.raw();
-    uint64_t tag = t.IsVariable() ? (2ULL << 62) : (3ULL << 62);
-    auto [it, inserted] = ids_.emplace(t.raw(), next_);
-    if (inserted) ++next_;
-    return tag | it->second;
-  }
-
- private:
-  std::unordered_map<uint64_t, uint64_t> ids_;
-  uint64_t next_ = 0;
-};
-
-void AppendAtom(const Atom& atom, TermCanonicalizer* canon, CacheKey* key) {
-  key->push_back(atom.relation);
-  key->push_back(atom.args.size());
-  for (const Term& t : atom.args) key->push_back(canon->Encode(t));
-}
-
-void AppendAtoms(const std::vector<Atom>& atoms, TermCanonicalizer* canon,
-                 CacheKey* key) {
-  key->push_back(atoms.size());
-  for (const Atom& a : atoms) AppendAtom(a, canon, key);
-}
-
-void AppendInstance(const Instance& instance, TermCanonicalizer* canon,
-                    CacheKey* key) {
-  std::vector<Fact> sorted;
-  sorted.reserve(instance.NumFacts());
-  instance.ForEachFact([&](FactRef f) { sorted.push_back(Fact(f)); });
-  std::sort(sorted.begin(), sorted.end());
-  key->push_back(sorted.size());
-  for (const Fact& f : sorted) {
-    key->push_back(f.relation);
-    key->push_back(f.args.size());
-    for (const Term& t : f.args) key->push_back(canon->Encode(t));
-  }
-}
-
-void AppendSigma(const ConstraintSet& sigma, TermCanonicalizer* canon,
-                 CacheKey* key) {
-  key->push_back(sigma.tgds.size());
-  for (const Tgd& tgd : sigma.tgds) {
-    AppendAtoms(tgd.body(), canon, key);
-    AppendAtoms(tgd.head(), canon, key);
-  }
-  key->push_back(sigma.fds.size());
-  for (const Fd& fd : sigma.fds) {
-    key->push_back(fd.relation);
-    key->push_back(fd.determiners.size());
-    for (uint32_t p : fd.determiners) key->push_back(p);
-    key->push_back(fd.determined);
-  }
-}
-
-CacheKey MakeGenericKey(const Instance& start, const std::vector<Atom>& goal,
-                        const ConstraintSet& sigma,
-                        const ChaseOptions& options,
-                        const std::vector<CardinalityRule>& rules) {
-  CacheKey key;
-  TermCanonicalizer canon;
-  key.push_back(0);  // engine tag: generic
-  AppendInstance(start, &canon, &key);
-  AppendAtoms(goal, &canon, &key);
-  AppendSigma(sigma, &canon, &key);
-  key.push_back(options.max_rounds);
-  key.push_back(options.max_facts);
-  // Pruning is derived from (goal, Σ, rules) — all already in the key —
-  // but the MODE must still be keyed: a pruned run can be definite where
-  // the unpruned run is kUnknown, so the two must not alias.
-  key.push_back((options.record_trace ? 1u : 0u) |
-                (options.use_semi_naive ? 2u : 0u) |
-                (options.prune_to_goal ? 4u : 0u) |
-                (options.inject_overprune_for_testing ? 8u : 0u));
-  key.push_back(rules.size());
-  for (const CardinalityRule& rule : rules) {
-    key.push_back(rule.source_rel);
-    key.push_back(rule.input_positions.size());
-    for (uint32_t p : rule.input_positions) key.push_back(p);
-    key.push_back(rule.target_rel);
-    key.push_back(rule.bound);
-    key.push_back(rule.accessible_rel);
-    key.push_back(rule.require_accessible ? 1 : 0);
-  }
-  return key;
-}
-
-CacheKey MakeLinearKey(const Instance& start, const std::vector<Atom>& goal,
-                       const std::vector<Tgd>& linear_tgds,
-                       uint64_t max_depth, uint64_t max_facts,
-                       const ChaseOptions& options) {
-  CacheKey key;
-  TermCanonicalizer canon;
-  key.push_back(1);  // engine tag: linear
-  AppendInstance(start, &canon, &key);
-  AppendAtoms(goal, &canon, &key);
-  key.push_back(linear_tgds.size());
-  for (const Tgd& tgd : linear_tgds) {
-    AppendAtoms(tgd.body(), &canon, &key);
-    AppendAtoms(tgd.head(), &canon, &key);
-  }
-  key.push_back(max_depth);
-  key.push_back(max_facts);
-  // Keyed for the same reason as the generic engine: pruned runs can be
-  // strictly more definite than unpruned ones.
-  key.push_back((options.prune_to_goal ? 1u : 0u) |
-                (options.inject_overprune_for_testing ? 2u : 0u) |
-                (options.inject_stale_goal_for_testing ? 4u : 0u));
-  return key;
-}
-
-// The memoization cache, sharded by key hash so parallel containment
-// calls (fuzz cases, oracle sweeps, bench sweeps under --jobs) do not
-// serialize on one mutex. Each shard is an independent mutex-guarded map
-// with its own epoch eviction and its own hit/miss/eviction counters
-// ("containment.cache.shardNN.*"); the aggregate "containment.cache.*"
-// counters keep their historical meaning and are incremented at the call
-// sites, so existing dashboards and tests see identical totals.
-class ContainmentCache {
- public:
-  static constexpr size_t kShards = 8;
-
-  static ContainmentCache& Get() {
-    static ContainmentCache* cache = new ContainmentCache();
-    return *cache;
-  }
-
-  bool Lookup(const CacheKey& key, ContainmentOutcome* out) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-      shard.misses->Increment();
-      return false;
-    }
-    shard.hits->Increment();
-    *out = it->second;
-    return true;
-  }
-
-  void Store(const CacheKey& key, const ContainmentOutcome& outcome) {
-    // Entries hold the final chase instance; keep the biggest ones out so
-    // the cache stays a cache, not a leak.
-    if (outcome.chase.instance.NumFacts() > kMaxCachedFacts) return;
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.map.size() >= kMaxEntriesPerShard) {
-      Metrics().cache_evictions->Increment(shard.map.size());
-      shard.evictions->Increment(shard.map.size());
-      shard.map.clear();  // epoch eviction: simple and O(1) amortized
-    }
-    shard.map.emplace(key, outcome);
-    shard.size->Set(shard.map.size());
-  }
-
-  void Clear() {
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.map.clear();
-      shard.size->Set(0);
-    }
-  }
-
-  size_t Size() {
-    size_t total = 0;
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      total += shard.map.size();
-    }
-    return total;
-  }
-
- private:
-  // Same total capacity as the pre-sharded cache (256 entries).
-  static constexpr size_t kMaxEntriesPerShard = 32;
-  static constexpr size_t kMaxCachedFacts = 50000;
-
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<CacheKey, ContainmentOutcome, CacheKeyHash> map;
-    Counter* hits = nullptr;
-    Counter* misses = nullptr;
-    Counter* evictions = nullptr;
-    Gauge* size = nullptr;  // current occupancy (of kMaxEntriesPerShard)
-  };
-
-  ContainmentCache() {
-    MetricsRegistry& r = MetricsRegistry::Default();
-    for (size_t i = 0; i < kShards; ++i) {
-      std::string prefix =
-          "containment.cache.shard" + std::to_string(i) + ".";
-      shards_[i].hits = r.GetCounter(prefix + "hits");
-      shards_[i].misses = r.GetCounter(prefix + "misses");
-      shards_[i].evictions = r.GetCounter(prefix + "evictions");
-      shards_[i].size = r.GetGauge(prefix + "size");
-    }
-  }
-
-  Shard& ShardFor(const CacheKey& key) {
-    return shards_[CacheKeyHash{}(key) % kShards];
-  }
-
-  Shard shards_[kShards];
-};
 
 std::string GoalRelationName(const std::vector<Atom>& goal,
                              const Universe* universe) {
@@ -519,26 +266,6 @@ ContainmentOutcome CheckContainmentFrom(
   ScopedTimer timer(Metrics().check_us);
   TraceSpan span("containment.check");
 
-  CacheKey key;
-  if (options.use_containment_cache) {
-    key = MakeGenericKey(start, goal, sigma, options, cardinality_rules);
-    ContainmentOutcome cached;
-    if (ContainmentCache::Get().Lookup(key, &cached)) {
-      Metrics().cache_hits->Increment();
-      uint64_t elapsed = timer.ElapsedMicros();
-      Metrics().check_hit_us->Record(elapsed);
-      // A hit did no chase work: attribute only the lookup cost.
-      QueryProfiler::Default().RecordCheck(ContainmentCheckRecord{
-          "", GoalRelationName(goal, universe), elapsed, 0, 0, 0, 0, true});
-      if (span.active()) {
-        span.AddStr("cache", "hit");
-        span.AddStr("verdict", VerdictName(cached.verdict));
-      }
-      return cached;
-    }
-    Metrics().cache_misses->Increment();
-  }
-
   // Goal-directed mode (chase/relevance.h): restrict chase firing to the
   // constraints backward-reachable from the goal, and try the signature
   // prefilter before chasing at all. The prefilter's kNotContained is only
@@ -601,14 +328,11 @@ ContainmentOutcome CheckContainmentFrom(
       out.verdict = ContainmentVerdict::kUnknown;
     }
   }
-  uint64_t elapsed = timer.ElapsedMicros();
-  Metrics().check_miss_us->Record(elapsed);
   QueryProfiler::Default().RecordCheck(ContainmentCheckRecord{
-      "", GoalRelationName(goal, universe), elapsed, out.chase.rounds,
-      out.chase.instance.NumFacts(), out.chase.goal_checks,
-      pruned_constraints, false});
+      "", GoalRelationName(goal, universe), timer.ElapsedMicros(),
+      out.chase.rounds, out.chase.instance.NumFacts(), out.chase.goal_checks,
+      pruned_constraints});
   if (span.active()) {
-    span.AddStr("cache", options.use_containment_cache ? "miss" : "off");
     span.AddStr("verdict", VerdictName(out.verdict));
     span.AddInt("rounds", static_cast<int64_t>(out.chase.rounds));
     span.AddInt("facts",
@@ -617,9 +341,6 @@ ContainmentOutcome CheckContainmentFrom(
                 static_cast<int64_t>(pruned_constraints));
     if (prefiltered) span.AddStr("prefilter", "hit");
     if (countermodeled) span.AddStr("countermodel", "hit");
-  }
-  if (options.use_containment_cache) {
-    ContainmentCache::Get().Store(key, out);
   }
   return out;
 }
@@ -746,32 +467,11 @@ ContainmentOutcome CheckLinearContainmentFrom(
   for (const Tgd& tgd : linear_tgds) {
     RBDA_CHECK(tgd.IsLinear());
   }
-  const bool use_cache = options.use_containment_cache;
 
   Metrics().checks->Increment();
   Metrics().checks_linear->Increment();
   ScopedTimer timer(Metrics().check_us);
   TraceSpan span("containment.check.linear");
-
-  CacheKey key;
-  if (use_cache) {
-    key = MakeLinearKey(start, goal, linear_tgds, max_depth, max_facts,
-                        options);
-    ContainmentOutcome cached;
-    if (ContainmentCache::Get().Lookup(key, &cached)) {
-      Metrics().cache_hits->Increment();
-      uint64_t elapsed = timer.ElapsedMicros();
-      Metrics().check_hit_us->Record(elapsed);
-      QueryProfiler::Default().RecordCheck(ContainmentCheckRecord{
-          "", GoalRelationName(goal, universe), elapsed, 0, 0, 0, 0, true});
-      if (span.active()) {
-        span.AddStr("cache", "hit");
-        span.AddStr("verdict", VerdictName(cached.verdict));
-      }
-      return cached;
-    }
-    Metrics().cache_misses->Increment();
-  }
 
   // Goal-directed mode: skip TGDs that cannot contribute to the goal (no
   // FDs here, so the relevance seeds are the goal relations alone and the
@@ -836,20 +536,17 @@ ContainmentOutcome CheckLinearContainmentFrom(
   auto finish = [&](ContainmentVerdict verdict) {
     out.verdict = verdict;
     Metrics().linear_depth->Record(out.depth_reached);
-    uint64_t elapsed = timer.ElapsedMicros();
-    Metrics().check_miss_us->Record(elapsed);
     QueryProfiler::Default().RecordCheck(ContainmentCheckRecord{
-        "", GoalRelationName(goal, universe), elapsed, out.chase.rounds,
-        inst.NumFacts(), out.chase.goal_checks, pruned_constraints, false});
+        "", GoalRelationName(goal, universe), timer.ElapsedMicros(),
+        out.chase.rounds, inst.NumFacts(), out.chase.goal_checks,
+        pruned_constraints});
     if (span.active()) {
-      span.AddStr("cache", use_cache ? "miss" : "off");
       span.AddStr("verdict", VerdictName(verdict));
       span.AddInt("depth", static_cast<int64_t>(out.depth_reached));
       span.AddInt("facts", static_cast<int64_t>(inst.NumFacts()));
       span.AddInt("pruned_constraints",
                   static_cast<int64_t>(pruned_constraints));
     }
-    if (use_cache) ContainmentCache::Get().Store(key, out);
     return std::move(out);
   };
 
@@ -963,8 +660,7 @@ ContainmentOutcome CheckLinearContainmentFrom(
   return finish(ContainmentVerdict::kNotContained);
 }
 
-void ClearContainmentCache() { ContainmentCache::Get().Clear(); }
-
-size_t ContainmentCacheSize() { return ContainmentCache::Get().Size(); }
+// A no-op kept for perfbench's two callers (see the header).
+void ClearContainmentCache() {}
 
 }  // namespace rbda

@@ -27,27 +27,15 @@
 // round delta-checks only the unmatched components — so a never-matching
 // component is not re-joined with the matched ones at every depth.
 //
-// Both engines consult a process-wide memoization cache keyed by a
-// canonical encoding of (start instance, goal, constraint set, engine
-// options): Answerability's per-access-method checks and repeated Decide
-// calls over the same schema re-pose identical containment problems, and a
-// hit replays the stored outcome (verdict, chase statistics, final
-// instance) without re-chasing. Opt out per call via
-// ChaseOptions::use_containment_cache; observe via the
-// containment.cache.{hits,misses,evictions} counters. Cached outcomes may
-// reference labeled nulls minted by the run that populated the entry
-// rather than by the caller's universe — null identity is only meaningful
-// within an outcome anyway.
-//
 // Both engines are goal-directed by default (ChaseOptions::prune_to_goal,
 // chase/relevance.h): constraints that cannot contribute to deriving the
 // goal — nor to any EGD — are skipped, and a relation-signature prefilter
 // answers kNotContained without chasing when the goal's relations are not
 // even signature-reachable from the start instance. Pruned and unpruned
 // runs agree on every definite verdict (the pruned run may be MORE
-// definite where the full chase exhausts its budget); the pruning mode is
-// part of the memoization key. Observe via containment.prune.{checks,
-// constraints_pruned,prefilter_hits}; disable via --prune=off/RBDA_PRUNE.
+// definite where the full chase exhausts its budget). Observe via
+// containment.prune.{checks,constraints_pruned,prefilter_hits}; disable
+// via --prune=off/RBDA_PRUNE.
 #ifndef RBDA_CHASE_CONTAINMENT_H_
 #define RBDA_CHASE_CONTAINMENT_H_
 
@@ -112,24 +100,22 @@ ContainmentOutcome CheckLinearContainment(const ConjunctiveQuery& q,
                                           const ChaseOptions& options = {});
 
 /// Depth-bounded linear engine starting from an explicit instance. Of the
-/// options bag, the linear engine honors use_containment_cache,
-/// prune_to_goal and the inject_*_for_testing hooks (depth/fact budgets
-/// are the explicit parameters). A run the depth bound stops with a
-/// non-empty frontier reports kNotContained with status kBudgetExceeded
-/// and exhausted = kRounds: the verdict is a decision only when
-/// `max_depth` is the JK bound.
+/// options bag, the linear engine honors prune_to_goal and the
+/// inject_*_for_testing hooks (depth/fact budgets are the explicit
+/// parameters). A run the depth bound stops with a non-empty frontier
+/// reports kNotContained with status kBudgetExceeded and exhausted =
+/// kRounds: the verdict is a decision only when `max_depth` is the JK
+/// bound.
 ContainmentOutcome CheckLinearContainmentFrom(
     const Instance& start, const std::vector<Atom>& goal,
     const std::vector<Tgd>& linear_tgds, Universe* universe,
     uint64_t max_depth, uint64_t max_facts = 500000,
     const ChaseOptions& options = {});
 
-/// Drops every memoized containment outcome (tests and benchmarks that
-/// want to measure the uncached engines call this between runs).
+/// Does nothing: containment checks are not memoized. Kept only because
+/// perfbench/harness.cc and perfbench/serve.cc still call it; the
+/// perfbench change that drops those two calls deletes this function.
 void ClearContainmentCache();
-
-/// Number of outcomes currently memoized.
-size_t ContainmentCacheSize();
 
 }  // namespace rbda
 

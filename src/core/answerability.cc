@@ -144,8 +144,11 @@ StatusOr<LinearizedProblem> Linearize(const ServiceSchema& schema,
       return LinearizeAnswerability(schema, q, methods, &accessible_constants);
     });
   }
-  ServiceSchema separated = TimedStage(
-      Stages().simplification_us, [&] { return ChoiceSimplification(schema); });
+  // Choice simplification, the FD chase that minimizes the query and the
+  // DetBy(mt) exports are all one simplification stage.
+  std::optional<ScopedTimer> simplification_timer(
+      std::in_place, Stages().simplification_us);
+  ServiceSchema separated = ChoiceSimplification(schema);
   separated.constraints().fds.clear();
   ConjunctiveQuery minimized =
       MinimizeUnderFds(q, schema.constraints().fds,
@@ -158,6 +161,7 @@ StatusOr<LinearizedProblem> Linearize(const ServiceSchema& schema,
     lm.visible_outputs = true;
     methods.push_back(std::move(lm));
   }
+  simplification_timer.reset();
   return TimedStage(Stages().reduction_us, [&] {
     return LinearizeAnswerability(separated, minimized, methods,
                                   &accessible_constants);

@@ -44,7 +44,6 @@ const FuzzCheckerMetrics& Metrics() {
 constexpr uint64_t kOracleStream = 0x9e3779b97f4a7c15ULL;
 constexpr uint64_t kPlanStream = 0xbf58476d1ce4e5b9ULL;
 constexpr uint64_t kChaseStream = 0x94d049bb133111ebULL;
-constexpr uint64_t kContainmentStream = 0x2545f4914f6cdd1dULL;
 constexpr uint64_t kFaultStream = 0xda942042e4dd58b5ULL;
 
 void AddFinding(CheckReport* report, std::string checker, std::string detail) {
@@ -194,15 +193,13 @@ CheckReport RunCheckerBattery(const ServiceSchema& schema,
     if (lin.ok()) {
       const uint64_t depth =
           std::min(lin->jk_depth_bound, options.decide.linear_depth_cap);
-      ChaseOptions chase = options.decide.chase;
-      chase.use_containment_cache = false;
-      ChaseOptions linear_opts = chase;
+      ChaseOptions linear_opts = options.decide.chase;
       linear_opts.inject_stale_goal_for_testing =
           options.inject_stale_goal_bug;
       ContainmentOutcome linear = CheckLinearContainmentFrom(
           lin->start, lin->goal, lin->tgds, &universe, depth,
           options.decide.linear_max_facts, linear_opts);
-      ChaseOptions generic_opts = chase;
+      ChaseOptions generic_opts = options.decide.chase;
       generic_opts.use_semi_naive = true;
       generic_opts.max_rounds = depth;
       generic_opts.max_facts = options.decide.linear_max_facts;
@@ -539,35 +536,6 @@ CheckReport RunCheckerBattery(const ServiceSchema& schema,
                 ca_naive->inconsistent != ca_semi->inconsistent)) {
       AddFinding(&report, "chase-differential",
                  "certain answers diverge between naive and semi-naive");
-    }
-  }
-
-  // --- containment-cache: memoized verdicts must equal uncached ones. ---
-  if (options.check_containment_cache) {
-    Rng rng(options.seed ^ kContainmentStream);
-    ConjunctiveQuery q2 = GenerateQuery(schema, 2, 3, &rng);
-    ChaseOptions base;
-    base.max_rounds = 40;
-    base.max_facts = 4000;
-    ClearContainmentCache();
-    ChaseOptions uncached = base;
-    uncached.use_containment_cache = false;
-    ContainmentOutcome plain = CheckContainment(
-        query, q2, schema.constraints(), &universe, uncached);
-    ChaseOptions cached = base;
-    cached.use_containment_cache = true;
-    ContainmentOutcome miss = CheckContainment(
-        query, q2, schema.constraints(), &universe, cached);
-    ContainmentOutcome hit = CheckContainment(
-        query, q2, schema.constraints(), &universe, cached);
-    ClearContainmentCache();
-    count(true);
-    if (plain.verdict != miss.verdict || miss.verdict != hit.verdict) {
-      AddFinding(&report, "containment-cache",
-                 "containment verdict differs across uncached/miss/hit: " +
-                     std::to_string(static_cast<int>(plain.verdict)) + "/" +
-                     std::to_string(static_cast<int>(miss.verdict)) + "/" +
-                     std::to_string(static_cast<int>(hit.verdict)));
     }
   }
 

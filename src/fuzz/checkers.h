@@ -25,8 +25,6 @@
 //  * chase-differential       — semi-naive vs. naive chase on a random
 //    instance: same status, mutually embedding results, identical certain
 //    answers.
-//  * containment-cache        — cached (miss, then hit) vs. uncached
-//    containment verdicts must be identical.
 //  * goal-pruned-vs-full      — the relevance-pruned decide (the default
 //    goal-directed mode, chase/relevance.h) against the full-Σ decide;
 //    definite verdicts must agree. Pruning being *more* complete (definite
@@ -111,7 +109,6 @@ struct CheckerOptions {
   bool check_oracle = true;
   bool check_plan = true;
   bool check_chase = true;
-  bool check_containment_cache = true;
   bool check_goal_pruned = true;
   bool check_linear_generic = true;
   bool check_roundtrip = true;

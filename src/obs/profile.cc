@@ -20,14 +20,12 @@ std::string CheckRecordJson(const ContainmentCheckRecord& record) {
   out.AddUint("facts", record.facts);
   out.AddUint("hom_checks", record.hom_checks);
   out.AddUint("pruned_constraints", record.pruned_constraints);
-  out.AddBool("cache_hit", record.cache_hit);
   return out.ToJson();
 }
 
 std::string SummaryJsonFromSnapshot(const QueryProfileSnapshot& snap) {
   JsonObjectWriter out;
   out.AddUint("checks", snap.checks);
-  out.AddUint("cache_hits", snap.cache_hits);
   out.AddUint("total_us", snap.total_us);
   out.AddUint("rounds", snap.rounds);
   out.AddUint("facts", snap.facts);
@@ -58,13 +56,11 @@ void QueryProfiler::RecordCheck(ContainmentCheckRecord record) {
         {{"duration_us", static_cast<int64_t>(record.duration_us)},
          {"rounds", static_cast<int64_t>(record.rounds)},
          {"facts", static_cast<int64_t>(record.facts)},
-         {"hom_checks", static_cast<int64_t>(record.hom_checks)},
-         {"cache_hit", record.cache_hit ? 1 : 0}},
+         {"hom_checks", static_cast<int64_t>(record.hom_checks)}},
         {{"label", record.label}, {"goal_relation", record.goal_relation}});
   }
   std::lock_guard<std::mutex> lock(mu_);
   ++checks_;
-  if (record.cache_hit) ++cache_hits_;
   rounds_ += record.rounds;
   facts_ += record.facts;
   hom_checks_ += record.hom_checks;
@@ -94,7 +90,6 @@ QueryProfileSnapshot QueryProfiler::TakeSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   QueryProfileSnapshot snap;
   snap.checks = checks_;
-  snap.cache_hits = cache_hits_;
   snap.rounds = rounds_;
   snap.facts = facts_;
   snap.hom_checks = hom_checks_;
@@ -126,7 +121,6 @@ std::string QueryProfiler::SummaryJson() const {
 void QueryProfiler::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   checks_ = 0;
-  cache_hits_ = 0;
   rounds_ = 0;
   facts_ = 0;
   hom_checks_ = 0;

@@ -3,12 +3,12 @@
 // The aggregate registry (metrics.h) answers "how much" — the profiler
 // answers "which one". Every containment check reports a
 // ContainmentCheckRecord (duration, chase rounds, facts created,
-// hom-checks, goal relation, cache outcome) tagged with the active
+// hom-checks, goal relation, constraints pruned) tagged with the active
 // profile label — "query:<name>" under the CLI, "decide#<n>:<fragment>"
 // by default — and the profiler keeps:
 //
 //   * a duration histogram (quantiles for the profile.* bench section),
-//   * running totals (checks, rounds, facts, hom-checks, cache outcomes),
+//   * running totals (checks, rounds, facts, hom-checks, pruned),
 //   * a bounded top-K table of the slowest checks ever seen,
 //
 // and emits a structured "containment.slow_check" trace event for any
@@ -40,13 +40,11 @@ struct ContainmentCheckRecord {
   uint64_t facts = 0;       // facts in the chased instance
   uint64_t hom_checks = 0;  // goal homomorphism checks performed
   uint64_t pruned_constraints = 0;  // dropped by relevance pruning
-  bool cache_hit = false;   // served from the containment cache
 };
 
 /// Point-in-time copy of the profiler's aggregates.
 struct QueryProfileSnapshot {
   uint64_t checks = 0;
-  uint64_t cache_hits = 0;
   uint64_t total_us = 0;
   uint64_t rounds = 0;
   uint64_t facts = 0;
@@ -79,14 +77,14 @@ class QueryProfiler {
 
   /// Serializes a snapshot as the profile JSON document written by
   /// `rbda_cli decide --profile=path`:
-  ///   {"containment":{"checks":..,"cache_hits":..,"total_us":..,
+  ///   {"containment":{"checks":..,"total_us":..,
   ///                   "rounds":..,"facts":..,"hom_checks":..,
   ///                   "pruned_constraints":..,
   ///                   "p50_us":..,"p90_us":..,"p99_us":..,"p999_us":..,
   ///                   "max_us":..},
   ///    "top_checks":[{"label":..,"goal_relation":..,"duration_us":..,
   ///                   "rounds":..,"facts":..,"hom_checks":..,
-  ///                   "pruned_constraints":..,"cache_hit":..}, ...]}
+  ///                   "pruned_constraints":..}, ...]}
   std::string ToJson() const;
 
   /// The "containment" sub-object of ToJson() alone — the profile.*
@@ -99,7 +97,6 @@ class QueryProfiler {
  private:
   mutable std::mutex mu_;
   uint64_t checks_ = 0;
-  uint64_t cache_hits_ = 0;
   uint64_t rounds_ = 0;
   uint64_t facts_ = 0;
   uint64_t hom_checks_ = 0;

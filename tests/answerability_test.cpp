@@ -63,52 +63,6 @@ TEST(AnswerabilityTest, NaiveAblationAgreesOnIds) {
   }
 }
 
-TEST(AnswerabilityTest, RepeatedDecideHitsContainmentCache) {
-  // Two identical Decide calls pose identical containment problems: the
-  // second must be answered from the memoization cache with the same
-  // verdict. Checked for both the linearized and the naive pipeline.
-  for (bool force_naive : {false, true}) {
-    ClearContainmentCache();
-    MetricsRegistry& reg = MetricsRegistry::Default();
-    Counter* hits = reg.GetCounter("containment.cache.hits");
-    Counter* misses = reg.GetCounter("containment.cache.misses");
-
-    Universe u;
-    ParsedDocument doc = MustParse(kUniversityBounded, &u);
-    ConjunctiveQuery q1 =
-        ConjunctiveQuery::Boolean(doc.queries.at("Q1").atoms());
-    DecisionOptions options;
-    options.force_naive = force_naive;
-
-    uint64_t hits0 = hits->value();
-    Decision first = MustDecide(doc.schema, q1, options);
-    uint64_t misses_after_first = misses->value();
-    EXPECT_GT(ContainmentCacheSize(), 0u) << "naive=" << force_naive;
-
-    Decision second = MustDecide(doc.schema, q1, options);
-    EXPECT_GT(hits->value(), hits0) << "naive=" << force_naive;
-    EXPECT_EQ(misses->value(), misses_after_first)
-        << "naive=" << force_naive;
-    EXPECT_EQ(second.verdict, first.verdict) << "naive=" << force_naive;
-    EXPECT_EQ(second.complete, first.complete) << "naive=" << force_naive;
-  }
-}
-
-TEST(AnswerabilityTest, CacheOptOutMatchesCachedVerdicts) {
-  ClearContainmentCache();
-  Universe u;
-  ParsedDocument doc = MustParse(kUniversityBounded, &u);
-  for (const char* query : {"Q1", "Q2"}) {
-    ConjunctiveQuery q =
-        ConjunctiveQuery::Boolean(doc.queries.at(query).atoms());
-    Decision cached = MustDecide(doc.schema, q);
-    DecisionOptions no_cache;
-    no_cache.chase.use_containment_cache = false;
-    Decision uncached = MustDecide(doc.schema, q, no_cache);
-    EXPECT_EQ(cached.verdict, uncached.verdict) << query;
-  }
-}
-
 // ---- Row 3: FDs (Example 1.5). ----
 
 TEST(AnswerabilityTest, Example15_FdMakesAddressAnswerable) {

@@ -1,6 +1,5 @@
 #include "chase/certain_answers.h"
 
-#include "chase/semi_width.h"
 #include "gtest/gtest.h"
 
 namespace rbda {
@@ -101,54 +100,6 @@ TEST_F(CertainAnswersTest, BudgetMarksIncomplete) {
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->complete);
   EXPECT_GE(result->answers.size(), 2u);  // a and b are already certain
-}
-
-// ---- Semi-width decomposition. ----
-
-TEST(SemiWidthTest, AcyclicRulesGoToSigma2) {
-  Universe u;
-  RelationId r = *u.AddRelation("SR", 2);
-  RelationId s = *u.AddRelation("SS", 2);
-  Term x = u.Variable("swx"), y = u.Variable("swy");
-  std::vector<Tgd> tgds;
-  // Width-2 but acyclic: R -> S.
-  tgds.emplace_back(std::vector<Atom>{Atom(r, {x, y})},
-                    std::vector<Atom>{Atom(s, {x, y})});
-  SemiWidthDecomposition d = ComputeSemiWidth(tgds);
-  EXPECT_EQ(d.acyclic.size(), 1u);
-  EXPECT_EQ(d.semi_width, 0u);
-}
-
-TEST(SemiWidthTest, CyclicWideRulesStayBounded) {
-  Universe u;
-  RelationId r = *u.AddRelation("SR2", 2);
-  RelationId s = *u.AddRelation("SS2", 2);
-  Term x = u.Variable("swa"), y = u.Variable("swb");
-  std::vector<Tgd> tgds;
-  tgds.emplace_back(std::vector<Atom>{Atom(r, {x, y})},
-                    std::vector<Atom>{Atom(s, {x, y})});
-  tgds.emplace_back(std::vector<Atom>{Atom(s, {x, y})},
-                    std::vector<Atom>{Atom(r, {x, y})});
-  SemiWidthDecomposition d = ComputeSemiWidth(tgds);
-  // One direction can be acyclic; the other must stay in the bounded part
-  // with width 2.
-  EXPECT_EQ(d.acyclic.size(), 1u);
-  EXPECT_EQ(d.bounded.size(), 1u);
-  EXPECT_EQ(d.semi_width, 2u);
-}
-
-TEST(SemiWidthTest, MixedWidths) {
-  Universe u;
-  RelationId r = *u.AddRelation("SR3", 3);
-  Term x = u.Variable("swc"), y = u.Variable("swd"), z = u.Variable("swe");
-  std::vector<Tgd> tgds;
-  // Self-loop of width 1 (cyclic, narrow).
-  tgds.emplace_back(std::vector<Atom>{Atom(r, {x, y, z})},
-                    std::vector<Atom>{
-                        Atom(r, {x, u.Variable("swf"), u.Variable("swg")})});
-  SemiWidthDecomposition d = ComputeSemiWidth(tgds);
-  EXPECT_EQ(d.bounded.size(), 1u);
-  EXPECT_EQ(d.semi_width, 1u);
 }
 
 }  // namespace

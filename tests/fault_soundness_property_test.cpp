@@ -23,7 +23,7 @@ TEST(FaultSoundnessPropertyTest, HundredsOfSeededTriplesHaveNoFindings) {
   // so 100 cases x 5 fault plans >= 500 seeded triples.
   CheckerOptions& c = options.checkers;
   c.check_naive = c.check_simplification = c.check_oracle = c.check_plan =
-      c.check_chase = c.check_containment_cache = c.check_roundtrip = false;
+      c.check_chase = c.check_roundtrip = false;
   c.check_fault_injection = true;
   c.fault_plans = 5;
 
@@ -43,7 +43,7 @@ TEST(FaultSoundnessPropertyTest, DifferentMasterSeedsAlsoPass) {
   options.shrink = false;
   CheckerOptions& c = options.checkers;
   c.check_naive = c.check_simplification = c.check_oracle = c.check_plan =
-      c.check_chase = c.check_containment_cache = c.check_roundtrip = false;
+      c.check_chase = c.check_roundtrip = false;
   c.check_fault_injection = true;
   c.fault_plans = 4;
   FuzzReport report = RunFuzzer(options);

@@ -135,8 +135,8 @@ TEST(FuzzLoopTest, InjectedPartialBugIsCaughtAndShrunk) {
   // Only the robustness checker, so every finding is attributable.
   CheckerOptions& c = options.checkers;
   c.check_naive = c.check_simplification = c.check_oracle = c.check_plan =
-      c.check_chase = c.check_containment_cache = c.check_goal_pruned =
-          c.check_linear_generic = c.check_roundtrip = false;
+      c.check_chase = c.check_goal_pruned = c.check_linear_generic =
+          c.check_roundtrip = false;
   FuzzReport report = RunFuzzer(options);
   ASSERT_FALSE(report.findings.empty())
       << "the injected non-monotone degradation bug went undetected";
@@ -164,8 +164,8 @@ TEST(FuzzLoopTest, InjectedOverpruneBugIsCaughtAndShrunk) {
   // Only the prune-differential checker, so every finding is attributable.
   CheckerOptions& c = options.checkers;
   c.check_naive = c.check_simplification = c.check_oracle = c.check_plan =
-      c.check_chase = c.check_containment_cache = c.check_linear_generic =
-          c.check_roundtrip = c.check_fault_injection = false;
+      c.check_chase = c.check_linear_generic = c.check_roundtrip =
+          c.check_fault_injection = false;
   FuzzReport report = RunFuzzer(options);
   ASSERT_FALSE(report.findings.empty())
       << "the injected overpruning bug went undetected";
@@ -194,8 +194,8 @@ TEST(FuzzLoopTest, InjectedStaleGoalBugIsCaughtAndShrunk) {
   // Only the engine-differential checker, so every finding is attributable.
   CheckerOptions& c = options.checkers;
   c.check_naive = c.check_simplification = c.check_oracle = c.check_plan =
-      c.check_chase = c.check_containment_cache = c.check_goal_pruned =
-          c.check_roundtrip = c.check_fault_injection = false;
+      c.check_chase = c.check_goal_pruned = c.check_roundtrip =
+          c.check_fault_injection = false;
   FuzzReport report = RunFuzzer(options);
   ASSERT_FALSE(report.findings.empty())
       << "the injected stale goal matcher went undetected";

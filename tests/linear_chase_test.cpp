@@ -50,13 +50,12 @@ class LinearChaseTest : public ::testing::Test {
     d_ = u_.Constant("d");
   }
 
-  // The depth loop itself: no cache, and no pruning tiers in front of it.
+  // The depth loop itself: no pruning tiers in front of it.
   ContainmentOutcome Linear(const Instance& start,
                             const std::vector<Atom>& goal,
                             const std::vector<Tgd>& tgds,
                             uint64_t max_depth = 50) {
     ChaseOptions options;
-    options.use_containment_cache = false;
     options.prune_to_goal = false;
     return CheckLinearContainmentFrom(start, goal, tgds, &u_, max_depth,
                                       500000, options);

@@ -480,7 +480,7 @@ TEST(JsonTest, SnapshotCarriesQuantilesAndGauges) {
   MetricsRegistry registry;
   Distribution* d = registry.GetDistribution("decide_us");
   d->Record(12);
-  registry.GetGauge("containment.cache.shard00.size")->Set(5);
+  registry.GetGauge("serve.queue.depth")->Set(5);
   std::string json = SnapshotToJson(registry);
   EXPECT_TRUE(IsValidJson(json)) << json;
   // Backwards-compat: count/sum/min/max stay the leading fields.
@@ -492,9 +492,8 @@ TEST(JsonTest, SnapshotCarriesQuantilesAndGauges) {
                       "\"p999\":12}"),
             std::string::npos)
       << json;
-  EXPECT_NE(
-      json.find("\"gauges\":{\"containment.cache.shard00.size\":5}"),
-      std::string::npos)
+  EXPECT_NE(json.find("\"gauges\":{\"serve.queue.depth\":5}"),
+            std::string::npos)
       << json;
 }
 
@@ -665,7 +664,7 @@ TEST(ChromeTraceTest, FileSinkWritesValidArrayWithBalancedSpans) {
 // ---------------------------------------------------------------------------
 
 ContainmentCheckRecord MakeCheck(std::string label, uint64_t duration_us,
-                                 uint64_t rounds, bool cache_hit) {
+                                 uint64_t rounds) {
   ContainmentCheckRecord r;
   r.label = std::move(label);
   r.goal_relation = "R";
@@ -673,18 +672,16 @@ ContainmentCheckRecord MakeCheck(std::string label, uint64_t duration_us,
   r.rounds = rounds;
   r.facts = rounds * 2;
   r.hom_checks = rounds + 1;
-  r.cache_hit = cache_hit;
   return r;
 }
 
 TEST(ProfileTest, AggregatesAndRanksTopChecks) {
   QueryProfiler profiler;
-  profiler.RecordCheck(MakeCheck("q:a", 50, 2, false));
-  profiler.RecordCheck(MakeCheck("q:b", 500, 5, false));
-  profiler.RecordCheck(MakeCheck("q:c", 5, 0, true));
+  profiler.RecordCheck(MakeCheck("q:a", 50, 2));
+  profiler.RecordCheck(MakeCheck("q:b", 500, 5));
+  profiler.RecordCheck(MakeCheck("q:c", 5, 0));
   QueryProfileSnapshot snap = profiler.TakeSnapshot();
   EXPECT_EQ(snap.checks, 3u);
-  EXPECT_EQ(snap.cache_hits, 1u);
   EXPECT_EQ(snap.total_us, 555u);
   EXPECT_EQ(snap.rounds, 7u);
   EXPECT_EQ(snap.check_us.count, 3u);
@@ -713,7 +710,7 @@ TEST(ProfileTest, TopKTableIsBoundedAndKeepsSlowest) {
   QueryProfiler profiler;
   constexpr size_t kChecks = QueryProfiler::kTopK + 15;
   for (size_t i = 1; i <= kChecks; ++i) {
-    profiler.RecordCheck(MakeCheck("q", i * 10, 1, false));
+    profiler.RecordCheck(MakeCheck("q", i * 10, 1));
   }
   QueryProfileSnapshot snap = profiler.TakeSnapshot();
   ASSERT_EQ(snap.top_checks.size(), QueryProfiler::kTopK);
@@ -729,8 +726,8 @@ TEST(ProfileTest, SlowChecksEmitTraceEvents) {
   EXPECT_EQ(profiler.slow_check_threshold_us(), 100u);
   RingBufferSink sink(8);
   ASSERT_EQ(SetTraceSink(&sink), nullptr);
-  profiler.RecordCheck(MakeCheck("q:fast", 99, 1, false));   // below: silent
-  profiler.RecordCheck(MakeCheck("q:slow", 100, 3, false));  // at: traced
+  profiler.RecordCheck(MakeCheck("q:fast", 99, 1));   // below: silent
+  profiler.RecordCheck(MakeCheck("q:slow", 100, 3));  // at: traced
   SetTraceSink(nullptr);
 
   std::vector<TraceRecord> records = sink.records();
@@ -766,7 +763,7 @@ TEST(ProfileTest, ScopedLabelNestsAndTagsUnlabeledChecks) {
     }
     EXPECT_EQ(CurrentProfileLabel(), "query:Q1");
     // A check reported with no label inherits the active one.
-    profiler.RecordCheck(MakeCheck("", 10, 1, false));
+    profiler.RecordCheck(MakeCheck("", 10, 1));
   }
   EXPECT_EQ(CurrentProfileLabel(), "");
   QueryProfileSnapshot snap = profiler.TakeSnapshot();

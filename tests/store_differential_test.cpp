@@ -188,7 +188,6 @@ TEST_P(ChaseDifferentialFamily, CleanOnPackedStore) {
   options.check_simplification = false;
   options.check_oracle = false;
   options.check_plan = false;
-  options.check_containment_cache = false;
   options.check_roundtrip = false;
   options.check_fault_injection = false;
   options.check_chase = true;

@@ -585,12 +585,10 @@ int EmitProfile(const CliOptions& cli) {
   }
   QueryProfileSnapshot snap = profiler.TakeSnapshot();
   std::printf(
-      "# containment profile: %llu checks (%llu cache hits), "
-      "%llu us total\n"
+      "# containment profile: %llu checks, %llu us total\n"
       "#   p50=%llu us  p90=%llu us  p99=%llu us  p999=%llu us  "
       "max=%llu us\n",
       static_cast<unsigned long long>(snap.checks),
-      static_cast<unsigned long long>(snap.cache_hits),
       static_cast<unsigned long long>(snap.total_us),
       static_cast<unsigned long long>(snap.check_us.Quantile(0.50)),
       static_cast<unsigned long long>(snap.check_us.Quantile(0.90)),
@@ -599,17 +597,16 @@ int EmitProfile(const CliOptions& cli) {
       static_cast<unsigned long long>(snap.check_us.max));
   if (!snap.top_checks.empty()) {
     std::printf("# top %zu slowest checks:\n"
-                "#   %10s %7s %8s %10s %6s %5s %-16s %s\n",
+                "#   %10s %7s %8s %10s %6s %-16s %s\n",
                 snap.top_checks.size(), "dur_us", "rounds", "facts",
-                "hom_checks", "pruned", "cache", "goal", "label");
+                "hom_checks", "pruned", "goal", "label");
     for (const ContainmentCheckRecord& c : snap.top_checks) {
-      std::printf("#   %10llu %7llu %8llu %10llu %6llu %5s %-16s %s\n",
+      std::printf("#   %10llu %7llu %8llu %10llu %6llu %-16s %s\n",
                   static_cast<unsigned long long>(c.duration_us),
                   static_cast<unsigned long long>(c.rounds),
                   static_cast<unsigned long long>(c.facts),
                   static_cast<unsigned long long>(c.hom_checks),
                   static_cast<unsigned long long>(c.pruned_constraints),
-                  c.cache_hit ? "hit" : "miss",
                   c.goal_relation.empty() ? "-" : c.goal_relation.c_str(),
                   c.label.empty() ? "-" : c.label.c_str());
     }

@@ -28,8 +28,8 @@
 //     (CheckerOptions::inject_stale_goal_bug; the linear-vs-generic checker
 //     must flag the missed goals)
 // --checkers restricts the battery to the named checkers (comma-separated:
-// naive, simplification, oracle, plan, chase, containment-cache,
-// goal-pruned, linear-generic, roundtrip, fault-injection). --fault-plans
+// naive, simplification, oracle, plan, chase, goal-pruned,
+// linear-generic, roundtrip, fault-injection). --fault-plans
 // sets how many mutated fault plans the fault-injection checker runs per
 // case.
 // --prune=off disables goal-directed relevance pruning in every decide the
@@ -163,9 +163,9 @@ bool FuzzCli::Parse(int argc, char** argv, FuzzCli* out) {
     } else if (key == "--checkers") {
       CheckerOptions& c = out->fuzz.checkers;
       c.check_naive = c.check_simplification = c.check_oracle =
-          c.check_plan = c.check_chase = c.check_containment_cache =
-              c.check_goal_pruned = c.check_linear_generic =
-                  c.check_roundtrip = c.check_fault_injection = false;
+          c.check_plan = c.check_chase = c.check_goal_pruned =
+              c.check_linear_generic = c.check_roundtrip =
+                  c.check_fault_injection = false;
       std::stringstream names(value);
       std::string name;
       while (std::getline(names, name, ',')) {
@@ -179,8 +179,6 @@ bool FuzzCli::Parse(int argc, char** argv, FuzzCli* out) {
           c.check_plan = true;
         } else if (name == "chase") {
           c.check_chase = true;
-        } else if (name == "containment-cache") {
-          c.check_containment_cache = true;
         } else if (name == "goal-pruned") {
           c.check_goal_pruned = true;
         } else if (name == "linear-generic") {
