@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_set>
 
 #include "chase/relevance.h"
+#include "chase/trigger_plan.h"
 #include "logic/conjunctive_query.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -88,6 +90,34 @@ int KindRank(Term t) {
   return 3;
 }
 
+// Hashes and compares materialized triggers — indexes into a buffer of
+// body-slot tuples `width` terms apart — by their exported slots only.
+struct TriggerKey {
+  const std::vector<Term>* triggers;
+  const std::vector<uint32_t>* exported;
+  uint32_t width;
+
+  const Term* Slots(uint32_t t) const {
+    return triggers->data() + size_t{t} * width;
+  }
+  size_t operator()(uint32_t t) const {
+    const Term* slots = Slots(t);
+    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (uint32_t s : *exported) {
+      h ^= TermHash()(slots[s]) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    }
+    return static_cast<size_t>(h);
+  }
+  bool operator()(uint32_t a, uint32_t b) const {
+    const Term* x = Slots(a);
+    const Term* y = Slots(b);
+    for (uint32_t s : *exported) {
+      if (x[s] != y[s]) return false;
+    }
+    return true;
+  }
+};
+
 class Engine {
  public:
   Engine(const Instance& start, const ConstraintSet& constraints,
@@ -98,18 +128,23 @@ class Engine {
         options_(options),
         rules_(rules) {
     result_.instance = start;
-    if (options_.relevant_relations != nullptr) {
-      // Goal-directed pruning (chase/relevance.h): resolve the per-index
-      // enabled bits once. Pruned constraints are skipped in place so
-      // ChaseStep::tgd_index keeps indexing the caller's ConstraintSet.
-      const std::vector<bool>& relevant = *options_.relevant_relations;
-      tgd_enabled_.reserve(constraints_.tgds.size());
-      for (const Tgd& tgd : constraints_.tgds) {
-        tgd_enabled_.push_back(TgdIsRelevant(tgd, relevant));
-      }
+    // Each TGD is compiled once per chase. Goal-directed pruning
+    // (chase/relevance.h) leaves the irrelevant ones uncompiled; plan_tgd_
+    // keeps ChaseStep::tgd_index indexing the caller's ConstraintSet.
+    const std::vector<bool>* relevant = options_.relevant_relations;
+    uint32_t num_slots = 0;
+    plans_.reserve(constraints_.tgds.size());
+    for (size_t i = 0; i < constraints_.tgds.size(); ++i) {
+      const Tgd& tgd = constraints_.tgds[i];
+      if (relevant != nullptr && !TgdIsRelevant(tgd, *relevant)) continue;
+      num_slots = std::max(num_slots, plans_.emplace_back(tgd).num_slots());
+      plan_tgd_.push_back(i);
+    }
+    slots_.resize(num_slots);
+    if (relevant != nullptr) {
       rule_enabled_.reserve(rules_.size());
       for (const CardinalityRule& rule : rules_) {
-        rule_enabled_.push_back(CardinalityRuleIsRelevant(rule, relevant));
+        rule_enabled_.push_back(CardinalityRuleIsRelevant(rule, *relevant));
       }
     }
   }
@@ -245,76 +280,58 @@ class Engine {
   // the fact budget. Returns the number of firings.
   uint64_t FireTgdRound(uint64_t round, const Instance::DeltaMark* delta) {
     uint64_t fired = 0;
-    for (size_t i = 0; i < constraints_.tgds.size(); ++i) {
-      if (!tgd_enabled_.empty() && !tgd_enabled_[i]) continue;  // pruned
-      const Tgd& tgd = constraints_.tgds[i];
-      std::vector<Term> exported = tgd.ExportedVariables();
+    Instance& inst = result_.instance;
+    for (size_t k = 0; k < plans_.size(); ++k) {
+      const CompiledTgd& plan = plans_[k];
+      const uint32_t width = plan.num_body_slots();
 
-      // Materialize the triggers first: firing mutates the instance the
-      // enumeration walks over. Deduplicate triggers by their restriction
-      // to exported variables (two body matches with the same exported
-      // image need only one head witness).
-      std::set<std::vector<Term>> seen;
-      std::vector<Substitution> triggers;
-      auto collect = [&](const Substitution& sub) {
-        std::vector<Term> key;
-        key.reserve(exported.size());
-        for (Term x : exported) {
-          key.push_back(ApplyToTerm(sub, x));
-        }
-        if (seen.insert(std::move(key)).second) {
-          triggers.push_back(sub);
-        }
-        return true;
-      };
-      if (delta != nullptr) {
-        ForEachHomomorphismDelta(tgd.body(), result_.instance, nullptr,
-                                 *delta, collect);
-      } else {
-        ForEachHomomorphism(tgd.body(), result_.instance, nullptr, collect);
-      }
+      // Materialize the triggers first, as body-slot tuples: firing
+      // mutates the instance the enumeration walks over. Deduplicate them
+      // by their exported slots (two body matches with the same exported
+      // image need only one head witness); the first match wins.
+      triggers_.clear();
+      uint32_t num_triggers = 0;
+      TriggerKey key{&triggers_, &plan.exported_slots(), width};
+      std::unordered_set<uint32_t, TriggerKey, TriggerKey> seen(0, key, key);
+      plan.ForEachBodyMatch(inst, delta, slots_.data(),
+                            [&](const Term* bound) {
+                              triggers_.insert(triggers_.end(), bound,
+                                               bound + width);
+                              if (seen.insert(num_triggers).second) {
+                                ++num_triggers;
+                              } else {
+                                triggers_.resize(triggers_.size() - width);
+                              }
+                            });
 
-      for (const Substitution& trigger : triggers) {
-        Substitution seed;
-        for (Term x : exported) seed.emplace(x, ApplyToTerm(trigger, x));
-        if (FindHomomorphism(tgd.head(), result_.instance, &seed)
-                .has_value()) {
+      for (uint32_t t = 0; t < num_triggers; ++t) {
+        std::copy_n(triggers_.begin() + size_t{t} * width, width,
+                    slots_.begin());
+        if (plan.HasWitness(inst, slots_.data(), &row_)) {
           continue;  // not active: head witness already exists
         }
-        // Fire: extend the exported bindings with fresh nulls for the
-        // existential variables and add the head facts.
-        Substitution extension = seed;
-        for (Term y : tgd.ExistentialVariables()) {
-          extension.emplace(y, universe_->FreshNull());
-        }
-        std::vector<Fact> added;
-        for (const Atom& h : tgd.head()) {
-          Fact fact = ApplyToAtom(extension, h);
-          // The store packs the terms in place, so the spent Fact moves
-          // into the trace instead of being copied twice. A row-id-cap
-          // overflow degrades like a fact-budget trip (the caller sees
-          // kBudgetExceeded/kFacts) instead of aborting the process.
-          bool inserted = false;
-          if (!result_.instance.TryAddFact(fact, &inserted).ok()) {
-            budget_tripped_ = true;
-            return fired;
-          }
-          if (inserted) added.push_back(std::move(fact));
+        // Fire: fresh nulls for the existential slots, then the head
+        // rows. A row-id-cap overflow degrades like a fact-budget trip
+        // (the caller sees kBudgetExceeded/kFacts) instead of aborting.
+        created_.clear();
+        if (!plan.Fire(&inst, universe_, slots_.data(), &row_, &created_)) {
+          budget_tripped_ = true;
+          return fired;
         }
         ++fired;
         ++result_.tgd_steps;
         Metrics().triggers_tgd->IncrementCell();
-        Metrics().facts_created->IncrementCell(added.size());
+        Metrics().facts_created->IncrementCell(created_.size());
         if (options_.record_trace) {
           // Record the full body homomorphism plus the fresh witnesses so
           // consumers (plan extraction) can reconstruct both the trigger
           // facts and the created facts.
-          Substitution full = trigger;
-          for (const auto& [var, value] : extension) full.emplace(var, value);
           result_.trace.push_back(
-              ChaseStep{i, std::move(full), std::move(added), round});
+              ChaseStep{plan_tgd_[k], plan.Bindings(slots_.data()),
+                        std::vector<Fact>(created_.begin(), created_.end()),
+                        round});
         }
-        if (result_.instance.NumFacts() > options_.max_facts) {
+        if (inst.NumFacts() > options_.max_facts) {
           budget_tripped_ = true;
           return fired;
         }
@@ -513,8 +530,18 @@ class Engine {
   const ChaseOptions& options_;
   const std::vector<CardinalityRule>& rules_;
   ChaseResult result_;
-  // Per-index relevance filter (empty = fire everything); see ctor.
-  std::vector<bool> tgd_enabled_;
+  // The enabled TGDs' trigger plans, and each one's index into
+  // constraints_.tgds; see ctor.
+  std::vector<CompiledTgd> plans_;
+  std::vector<size_t> plan_tgd_;
+  // Scratch reused by every round: one slot array, the triggers of the
+  // TGD being fired (body-slot tuples back to back), a head row, and the
+  // rows a firing created.
+  std::vector<Term> slots_;
+  std::vector<Term> triggers_;
+  std::vector<Term> row_;
+  std::vector<FactRef> created_;
+  // Per-index relevance filter for the rules (empty = fire every rule).
   std::vector<bool> rule_enabled_;
   // Set by the firing helpers when a firing pushed the instance past
   // options_.max_facts; RunImpl then stops with exhausted = kFacts.

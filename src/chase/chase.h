@@ -19,6 +19,9 @@
 //     activeness conclusions from before the merge no longer transfer;
 //   * when ChaseOptions::use_semi_naive is off (ablation/testing).
 // Goal checks in RunChaseUntil* are delta-restricted under the same rules.
+// Each enabled TGD is compiled once per chase into a trigger plan
+// (chase/trigger_plan.h): triggers are materialized as slot tuples,
+// deduplicated by their exported slots, and fired from the slots.
 //
 // The engine also supports the cardinality-transfer rules produced by the
 // *naive* AMonDet reduction of §3 — the "∃≥j" accessibility axioms for

@@ -1,9 +1,9 @@
 #include "chase/containment.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "chase/relevance.h"
+#include "chase/trigger_plan.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -81,171 +81,6 @@ const char* VerdictName(ContainmentVerdict v) {
   return "?";
 }
 
-// A linear TGD compiled once per check for the JK depth loop. Its terms
-// become dense slots: body variables in first-occurrence order, then the
-// existential variables in ExistentialVariables() order. A frontier row is
-// unified with the body, probed for an existing head witness, and fired,
-// all over one slot array — no Substitution, Instance or std::function
-// per fact or per trigger.
-class CompiledTgd {
- public:
-  explicit CompiledTgd(const Tgd& tgd) : tgd_(&tgd) {
-    std::unordered_map<Term, uint32_t, TermHash> slot_of;
-    const Atom& body = tgd.body()[0];
-    body_relation_ = body.relation;
-    for (Term t : body.args) body_.push_back(Compile(t, &slot_of));
-    num_body_slots_ = static_cast<uint32_t>(slot_of.size());
-    for (Term y : tgd.ExistentialVariables()) {
-      slot_of.emplace(y, static_cast<uint32_t>(slot_of.size()));
-    }
-    num_slots_ = static_cast<uint32_t>(slot_of.size());
-    std::vector<bool> seen(num_slots_, false);
-    for (uint32_t s = 0; s < num_body_slots_; ++s) seen[s] = true;
-    for (const Atom& h : tgd.head()) {
-      HeadAtom atom{h.relation, {}};
-      for (Term t : h.args) {
-        auto it = slot_of.find(t);
-        if (t.IsConstant() || it == slot_of.end()) {
-          atom.steps.push_back(Step{Op::kConstant, 0, t});
-        } else {
-          atom.steps.push_back(
-              Step{seen[it->second] ? Op::kCheck : Op::kBind, it->second, t});
-          seen[it->second] = true;
-        }
-      }
-      head_.push_back(std::move(atom));
-    }
-  }
-
-  RelationId body_relation() const { return body_relation_; }
-  uint32_t num_slots() const { return num_slots_; }
-
-  // Unifies the body atom with `row`, binding the body slots.
-  bool MatchBody(FactRef row, Term* slots) const {
-    return Unify(body_, row, slots);
-  }
-
-  // Activeness test for a trigger whose body slots are bound: true when
-  // some head witness already exists. A single head atom is one probe of
-  // the smallest column posting over its bound positions (constants and
-  // exported slots); existential positions only have to agree with each
-  // other. A multi-atom head keeps the generic search.
-  bool HasWitness(const Instance& inst, Term* slots) const {
-    if (head_.size() != 1) {
-      Substitution seed;
-      for (const Step& step : body_) {
-        if (step.op == Op::kBind) seed.emplace(step.term, slots[step.slot]);
-      }
-      return FindHomomorphism(tgd_->head(), inst, &seed).has_value();
-    }
-    const HeadAtom& head = head_[0];
-    FactRange rows = inst.FactsOf(head.relation);
-    if (rows.empty() || rows[0].arity() != head.steps.size()) return false;
-    const std::vector<uint32_t>* postings = nullptr;
-    for (uint32_t p = 0; p < head.steps.size(); ++p) {
-      const Step& step = head.steps[p];
-      if (step.op == Op::kBind ||
-          (step.op == Op::kCheck && step.slot >= num_body_slots_)) {
-        continue;  // existential: free in the probe
-      }
-      Term value = step.op == Op::kConstant ? step.term : slots[step.slot];
-      const std::vector<uint32_t>& list =
-          inst.FactsWith(head.relation, p, value);
-      if (list.empty()) return false;
-      if (postings == nullptr || list.size() < postings->size()) {
-        postings = &list;
-      }
-    }
-    if (postings == nullptr) {
-      for (FactRef row : rows) {
-        if (Unify(head.steps, row, slots)) return true;
-      }
-      return false;
-    }
-    for (uint32_t i : *postings) {
-      if (Unify(head.steps, rows[i], slots)) return true;
-    }
-    return false;
-  }
-
-  // Fires the trigger: mints the existential nulls, then adds the head
-  // rows in head order. Appends each new row to `created`; false when the
-  // instance refused a row (row-id space exhausted).
-  bool Fire(Instance* inst, Universe* universe, Term* slots,
-            std::vector<Term>* row, std::vector<FactRef>* created) const {
-    for (uint32_t s = num_body_slots_; s < num_slots_; ++s) {
-      slots[s] = universe->FreshNull();
-    }
-    for (const HeadAtom& head : head_) {
-      row->clear();
-      for (const Step& step : head.steps) {
-        row->push_back(step.op == Op::kConstant ? step.term
-                                                : slots[step.slot]);
-      }
-      bool inserted = false;
-      if (!inst->TryAddRow(head.relation, *row, &inserted).ok()) return false;
-      if (inserted) {
-        FactRange rows = inst->FactsOf(head.relation);
-        created->push_back(rows[rows.size() - 1]);
-      }
-    }
-    return true;
-  }
-
- private:
-  // How one atom position relates to the slots.
-  enum class Op : uint8_t {
-    kConstant,  // holds `term`
-    kBind,      // first occurrence of `slot`: takes the row's value
-    kCheck,     // bound `slot`: must equal the row's value
-  };
-  struct Step {
-    Op op;
-    uint32_t slot;
-    Term term;  // the constant, or the variable `slot` stands for
-  };
-  struct HeadAtom {
-    RelationId relation;
-    std::vector<Step> steps;
-  };
-
-  static Step Compile(Term t,
-                      std::unordered_map<Term, uint32_t, TermHash>* slot_of) {
-    if (t.IsConstant()) return Step{Op::kConstant, 0, t};
-    auto [it, inserted] =
-        slot_of->emplace(t, static_cast<uint32_t>(slot_of->size()));
-    return Step{inserted ? Op::kBind : Op::kCheck, it->second, t};
-  }
-
-  static bool Unify(const std::vector<Step>& steps, FactRef row,
-                    Term* slots) {
-    if (row.arity() != steps.size()) return false;
-    for (uint32_t p = 0; p < steps.size(); ++p) {
-      const Step& step = steps[p];
-      Term v = row.arg(p);
-      switch (step.op) {
-        case Op::kConstant:
-          if (v != step.term) return false;
-          break;
-        case Op::kBind:
-          slots[step.slot] = v;
-          break;
-        case Op::kCheck:
-          if (slots[step.slot] != v) return false;
-          break;
-      }
-    }
-    return true;
-  }
-
-  const Tgd* tgd_;
-  RelationId body_relation_ = 0;
-  std::vector<Step> body_;
-  std::vector<HeadAtom> head_;
-  uint32_t num_body_slots_ = 0;
-  uint32_t num_slots_ = 0;
-};
-
 }  // namespace
 
 ContainmentOutcome CheckContainment(
@@ -299,7 +134,8 @@ ContainmentOutcome CheckContainmentFrom(
   bool countermodeled = false;
   if (options.prune_to_goal && !prefiltered && sigma.fds.empty()) {
     countermodeled = CounterModelRefutesGoals(start, {goal}, sigma.tgds,
-                                              cardinality_rules, universe);
+                                              cardinality_rules, universe)
+                         .has_value();
   }
 
   ContainmentOutcome out;
@@ -350,6 +186,10 @@ ContainmentOutcome CheckUcqContainment(const UnionQuery& q,
                                        const ConstraintSet& sigma,
                                        Universe* universe,
                                        const ChaseOptions& options) {
+  Metrics().checks->Increment();
+  ScopedTimer timer(Metrics().check_us);
+  TraceSpan span("containment.check.ucq");
+
   std::vector<std::vector<Atom>> goals;
   for (const ConjunctiveQuery& cq : q_prime.disjuncts()) {
     goals.push_back(cq.atoms());
@@ -365,8 +205,27 @@ ContainmentOutcome CheckUcqContainment(const UnionQuery& q,
                          options.inject_overprune_for_testing);
     chase_options.relevant_relations = &relevance.relevant_relations;
   }
+  const uint64_t pruned_constraints = relevance.PrunedConstraints();
+
   ContainmentOutcome overall;
   overall.verdict = ContainmentVerdict::kContained;  // empty Q is contained
+  auto finish = [&]() {
+    QueryProfiler::Default().RecordCheck(ContainmentCheckRecord{
+        "", goals.empty() ? "" : GoalRelationName(goals[0], universe),
+        timer.ElapsedMicros(), overall.chase.rounds,
+        overall.chase.instance.NumFacts(), overall.chase.goal_checks,
+        pruned_constraints});
+    if (span.active()) {
+      span.AddStr("verdict", VerdictName(overall.verdict));
+      span.AddInt("disjuncts", static_cast<int64_t>(q.disjuncts().size()));
+      span.AddInt("rounds", static_cast<int64_t>(overall.chase.rounds));
+      span.AddInt("facts",
+                  static_cast<int64_t>(overall.chase.instance.NumFacts()));
+      span.AddInt("pruned_constraints",
+                  static_cast<int64_t>(pruned_constraints));
+    }
+    return std::move(overall);
+  };
   for (const ConjunctiveQuery& cq : q.disjuncts()) {
     Instance db = cq.CanonicalDatabase();
     ContainmentVerdict verdict;
@@ -388,7 +247,8 @@ ContainmentOutcome CheckUcqContainment(const UnionQuery& q,
       // A countermodel must refute EVERY disjunct of q' to certify that
       // this disjunct of q is a counterexample.
       countermodeled =
-          CounterModelRefutesGoals(db, goals, sigma.tgds, {}, universe);
+          CounterModelRefutesGoals(db, goals, sigma.tgds, {}, universe)
+              .has_value();
     }
     if (prefiltered || countermodeled) {
       if (prefiltered) {
@@ -415,13 +275,13 @@ ContainmentOutcome CheckUcqContainment(const UnionQuery& q,
     if (verdict == ContainmentVerdict::kNotContained) {
       // A definite counterexample disjunct settles the whole containment.
       overall.verdict = verdict;
-      return overall;
+      return finish();
     }
     if (verdict == ContainmentVerdict::kUnknown) {
       overall.verdict = ContainmentVerdict::kUnknown;
     }
   }
-  return overall;
+  return finish();
 }
 
 uint64_t JohnsonKlugDepthBound(size_t goal_atoms, size_t sigma_bounded,
@@ -576,7 +436,8 @@ ContainmentOutcome CheckLinearContainmentFrom(
   // the goal without descending the (possibly exponential) chase tree.
   // Linear TGDs have no FDs, so the countermodel is always sound here.
   if (options.prune_to_goal &&
-      CounterModelRefutesGoals(inst, {goal}, linear_tgds, {}, universe)) {
+      CounterModelRefutesGoals(inst, {goal}, linear_tgds, {}, universe)
+          .has_value()) {
     Metrics().prune_countermodel_hits->Increment();
     out.chase.status = ChaseStatus::kCompleted;
     if (span.active()) span.AddStr("countermodel", "hit");
@@ -614,7 +475,7 @@ ContainmentOutcome CheckLinearContainmentFrom(
         const CompiledTgd& c = compiled[ci];
         if (!c.MatchBody(fact, slots.data())) continue;
         Metrics().activeness_checks->IncrementCell();
-        if (c.HasWitness(inst, slots.data())) continue;  // not active
+        if (c.HasWitness(inst, slots.data(), &row)) continue;  // not active
         size_t before = next.size();
         if (!c.Fire(&inst, universe, slots.data(), &row, &next)) {
           row_ids_exhausted = true;  // degrade below

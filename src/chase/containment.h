@@ -10,16 +10,20 @@
 //    sound AND complete when run to the JK depth bound for IDs / linear
 //    TGDs of bounded semi-width (paper Prop 5.6 / E.8). This is the engine
 //    behind the paper's NP results after linearization. Each check
-//    compiles its TGDs once into a trigger plan: variables become dense
-//    slots, the body atom is unified directly against each frontier row,
-//    activeness is one probe of the smallest column posting over the
-//    head's bound positions (a multi-atom head keeps the generic
-//    homomorphism search), nulls are minted in ExistentialVariables()
-//    order, and frontiers are FactRef row views into the append-only
-//    instance. No Instance, Substitution or std::function is built per
-//    fact or per trigger; the chase — facts, order, nulls — must stay the
-//    restricted chase a generic homomorphism search over the same TGDs
-//    would run (tests/linear_chase_test.cpp pins it).
+//    compiles its TGDs once into trigger plans (chase/trigger_plan.h):
+//    the body atom is unified directly against each frontier row,
+//    activeness is a row lookup or one posting probe, nulls are minted
+//    in ExistentialVariables() order, and frontiers are FactRef row views
+//    into the append-only instance. No Instance, Substitution or
+//    std::function is built per fact or per trigger; the chase — facts,
+//    order, nulls — must stay the restricted chase a generic homomorphism
+//    search over the same TGDs would run (tests/linear_chase_test.cpp
+//    pins it).
+//
+// The generic engine's TGD rounds (chase.cc) and the witness-reuse
+// countermodel tier (relevance.h) run on the same plans: every
+// saturation loop behind a containment check unifies rows into slot
+// arrays instead of building a Substitution per trigger.
 //
 // Both engines test the goal after every round through one incremental
 // GoalMatcher (logic/homomorphism.h): the goal splits into connected
@@ -36,6 +40,11 @@
 // definite where the full chase exhausts its budget). Observe via
 // containment.prune.{checks,constraints_pruned,prefilter_hits}; disable
 // via --prune=off/RBDA_PRUNE.
+//
+// All three front ends count into containment.checks and
+// containment.check_us, open a span (containment.check,
+// containment.check.linear, containment.check.ucq) and leave one
+// QueryProfiler record per call.
 #ifndef RBDA_CHASE_CONTAINMENT_H_
 #define RBDA_CHASE_CONTAINMENT_H_
 

@@ -6,6 +6,8 @@
 #include <set>
 #include <string>
 
+#include "chase/trigger_plan.h"
+
 namespace rbda {
 
 namespace {
@@ -160,14 +162,11 @@ bool SignatureCanReachGoal(const Instance& start,
                              SignatureClosure(start, tgds, rules, relevant));
 }
 
-bool CounterModelRefutesGoals(const Instance& start,
-                              const std::vector<std::vector<Atom>>& goals,
-                              const std::vector<Tgd>& tgds,
-                              const std::vector<CardinalityRule>& rules,
-                              Universe* universe,
-                              size_t max_facts,
-                              size_t max_rounds) {
-  if (universe == nullptr) return false;
+std::optional<Instance> CounterModelRefutesGoals(
+    const Instance& start, const std::vector<std::vector<Atom>>& goals,
+    const std::vector<Tgd>& tgds, const std::vector<CardinalityRule>& rules,
+    Universe* universe, size_t max_facts, size_t max_rounds) {
+  if (universe == nullptr) return std::nullopt;
 
   Instance m;
   bool overflow = false;
@@ -179,43 +178,52 @@ bool CounterModelRefutesGoals(const Instance& start,
     }
     return true;
   });
-  if (overflow || m.NumFacts() > max_facts) return false;
+  if (overflow || m.NumFacts() > max_facts) return std::nullopt;
 
-  // One fixed witness null per (TGD, existential variable): every firing
-  // of the same TGD lands on the same witnesses, which merges the chase
-  // tree's sibling subtrees. The merged structure still satisfies each
-  // ∀∃ sentence — an existential only needs SOME witness — and the
-  // quotient map from the real chase into it shows every chase fact has
-  // an image here, so a goal that fails here fails in the chase too.
-  std::vector<Substitution> witnesses(tgds.size());
-  std::vector<std::vector<Term>> exported(tgds.size());
+  // One fixed witness null per (TGD, existential variable), held in the
+  // TGD's existential slots: every firing of the same TGD lands on the
+  // same witnesses, which merges the chase tree's sibling subtrees. The
+  // merged structure still satisfies each ∀∃ sentence — an existential
+  // only needs SOME witness — and the quotient map from the real chase
+  // into it shows every chase fact has an image here, so a goal that
+  // fails here fails in the chase too.
+  std::vector<CompiledTgd> plans;
+  std::vector<std::vector<Term>> slots(tgds.size());
+  plans.reserve(tgds.size());
   for (size_t i = 0; i < tgds.size(); ++i) {
-    for (Term y : tgds[i].ExistentialVariables()) {
-      witnesses[i].emplace(y, universe->FreshNull());
+    const CompiledTgd& plan = plans.emplace_back(tgds[i]);
+    slots[i].resize(plan.num_slots());
+    for (uint32_t s = plan.num_body_slots(); s < plan.num_slots(); ++s) {
+      slots[i][s] = universe->FreshNull();
     }
-    exported[i] = tgds[i].ExportedVariables();
   }
   // Cardinality rules need up to `bound` DISTINCT target facts per
   // binding, so each rule gets a lazily-grown pool of witness rows, one
   // per copy index (copies differ in their non-input positions).
   std::vector<std::vector<std::vector<Term>>> rule_nulls(rules.size());
 
+  // Level-synchronous semi-naive rounds: a round collects what the model
+  // as it stood at the round's start derives, then adds it. With the
+  // witnesses fixed, a body match made only of facts older than the
+  // previous round derives rows an earlier round already added, so round
+  // 1 matches the whole start instance and every later round only the
+  // matches touching `delta`, the previous round's facts.
+  Instance::DeltaMark delta;
+  std::vector<Term> head_row;
   bool saturated = false;
   for (size_t round = 0; round < max_rounds && !saturated; ++round) {
     std::vector<Fact> pending;
-    for (size_t i = 0; i < tgds.size(); ++i) {
-      const Tgd& tgd = tgds[i];
-      ForEachHomomorphism(
-          tgd.body(), m, nullptr, [&](const Substitution& sub) {
-            Substitution ext = witnesses[i];
-            for (Term x : exported[i]) {
-              ext.emplace(x, ApplyToTerm(sub, x));
+    for (size_t i = 0; i < plans.size(); ++i) {
+      const CompiledTgd& plan = plans[i];
+      plan.ForEachBodyMatch(
+          m, round == 0 ? nullptr : &delta, slots[i].data(),
+          [&](const Term* bound) {
+            for (size_t h = 0; h < plan.num_head_atoms(); ++h) {
+              plan.HeadRow(h, bound, &head_row);
+              if (!m.ContainsRow(plan.head_relation(h), head_row)) {
+                pending.emplace_back(plan.head_relation(h), head_row);
+              }
             }
-            for (const Atom& h : tgd.head()) {
-              Fact f = ApplyToAtom(ext, h);
-              if (!m.Contains(f)) pending.push_back(std::move(f));
-            }
-            return true;
           });
     }
     for (size_t ri = 0; ri < rules.size(); ++ri) {
@@ -287,18 +295,20 @@ bool CounterModelRefutesGoals(const Instance& start,
       saturated = true;
       break;
     }
+    delta = m.Mark();
     for (Fact& f : pending) {
       bool inserted = false;
-      if (!m.TryAddFact(f, &inserted).ok()) return false;
-      if (m.NumFacts() > max_facts) return false;
+      if (!m.TryAddFact(f, &inserted).ok()) return std::nullopt;
+      if (m.NumFacts() > max_facts) return std::nullopt;
     }
   }
-  if (!saturated) return false;  // no fixpoint within budget: inconclusive
+  // No fixpoint within budget: inconclusive.
+  if (!saturated) return std::nullopt;
 
   for (const std::vector<Atom>& goal : goals) {
-    if (FindHomomorphism(goal, m).has_value()) return false;
+    if (FindHomomorphism(goal, m).has_value()) return std::nullopt;
   }
-  return true;
+  return m;
 }
 
 bool ResolvePrune(int requested) {

@@ -42,6 +42,7 @@
 #define RBDA_CHASE_RELEVANCE_H_
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "chase/chase.h"
@@ -126,25 +127,33 @@ bool SignatureCanReachGoal(const Instance& start,
 /// null per existential variable and every cardinality rule a fixed pool
 /// of witness nulls per copy index — so the infinite chase tree folds
 /// into a structure whose term count is bounded by the constraint set,
-/// not by the chase depth. Returns true iff saturation reached a fixpoint
-/// within `max_facts`/`max_rounds` AND none of the `goals` has a
-/// homomorphism into the model. A true return is a machine-checked
-/// counter-model: a model of the full constraint set containing the
-/// canonical database in which every goal fails, certifying
-/// kNotContained regardless of how far the real chase would run. A false
-/// return says nothing (the model may admit spurious matches that the
-/// tree-shaped chase would not).
+/// not by the chase depth. Returns the saturated model iff saturation
+/// reached a fixpoint within `max_facts`/`max_rounds` AND none of the
+/// `goals` has a homomorphism into it; std::nullopt otherwise. The model
+/// is the certificate for kNotContained: a model of the full constraint
+/// set containing the canonical database in which every goal fails,
+/// whatever the real chase would do (ValidateCountermodel in
+/// fuzz/checkers.h re-checks it without chase code). std::nullopt says
+/// nothing: the model may admit spurious matches that the tree-shaped
+/// chase would not.
+///
+/// Every TGD runs on a compiled trigger plan (chase/trigger_plan.h) with
+/// its witness nulls held in the existential slots, minted once in TGD
+/// order × ExistentialVariables() order. Rounds are level-synchronous —
+/// a round collects what the model as it stood at the round's start
+/// derives, then adds it — and semi-naive: round 1 matches the whole
+/// start instance, each later round only the bodies touching the
+/// previous round's facts (an empty-body TGD therefore fires in round 1
+/// only). Cardinality rules are re-evaluated in full every round.
 ///
 /// CAUTION: only sound when no FDs/EGDs participate — EGD merges are not
 /// modelled, so callers must gate on sigma.fds.empty() (the linear
-/// engine has no FDs by construction).
-bool CounterModelRefutesGoals(const Instance& start,
-                              const std::vector<std::vector<Atom>>& goals,
-                              const std::vector<Tgd>& tgds,
-                              const std::vector<CardinalityRule>& rules,
-                              Universe* universe,
-                              size_t max_facts = 4096,
-                              size_t max_rounds = 64);
+/// engine has no FDs by construction). Pass the full TGD set, never a
+/// relevance-pruned subset: the model must satisfy every constraint.
+std::optional<Instance> CounterModelRefutesGoals(
+    const Instance& start, const std::vector<std::vector<Atom>>& goals,
+    const std::vector<Tgd>& tgds, const std::vector<CardinalityRule>& rules,
+    Universe* universe, size_t max_facts = 4096, size_t max_rounds = 64);
 
 /// Resolves the effective pruning mode the way ResolveJobs resolves the
 /// worker count: an explicit request (0 = off, 1 = on) wins; -1 = unset

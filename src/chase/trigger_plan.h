@@ -1,0 +1,161 @@
+// Compiled trigger plans: the one TGD representation every saturation
+// loop runs on — the Johnson–Klug depth loop (containment.cc), the
+// witness-reuse countermodel (relevance.cc) and the generic restricted
+// chase (chase.cc).
+//
+// A TGD is compiled once into dense slots: the body variables in
+// first-occurrence order, then the existential variables in
+// ExistentialVariables() order. Every atom position becomes a step that
+// holds a constant, binds a slot (its first occurrence) or checks one. A
+// loop unifies body atoms with rows straight into a slot array, tests
+// activeness and writes head rows from the same array — no Substitution,
+// Instance or std::function per fact or per trigger. TGD atoms hold
+// variables and constants only (the parser and every constructor in
+// src/ build nothing else); any non-constant term is treated as a
+// variable.
+//
+// Body matches come in the order ForEachHomomorphism[Delta] yields them:
+// a single body atom is unified with the relation's rows in row order, so
+// callers that fire in enumeration order run the same chase the generic
+// homomorphism search would. Bodies of other sizes go through that search
+// and are projected into the slots once per match.
+#ifndef RBDA_CHASE_TRIGGER_PLAN_H_
+#define RBDA_CHASE_TRIGGER_PLAN_H_
+
+#include <cstdint>
+#include <vector>
+
+#include "constraints/tgd.h"
+
+namespace rbda {
+
+class CompiledTgd {
+ public:
+  explicit CompiledTgd(const Tgd& tgd);
+
+  /// The relation of the body atom; single-atom bodies only.
+  RelationId body_relation() const { return body_[0].relation; }
+  uint32_t num_body_slots() const { return num_body_slots_; }
+  /// Body slots followed by the existential slots.
+  uint32_t num_slots() const { return num_slots_; }
+  /// Body slots that occur in the head, ascending: two triggers agreeing
+  /// on them need the same head witnesses.
+  const std::vector<uint32_t>& exported_slots() const {
+    return exported_slots_;
+  }
+
+  /// Unifies the (single) body atom with `row`, binding the body slots.
+  bool MatchBody(FactRef row, Term* slots) const {
+    return Unify(body_[0].steps, row, slots);
+  }
+
+  /// Calls `fn(slots)` once per body match in `inst` — every match, or
+  /// with `delta` non-null only those touching facts added since it — in
+  /// ForEachHomomorphism[Delta] order, with the body slots filled. `fn`
+  /// must not grow `inst`: collect first, fire afterwards.
+  template <typename Fn>
+  void ForEachBodyMatch(const Instance& inst,
+                        const Instance::DeltaMark* delta, Term* slots,
+                        Fn&& fn) const {
+    if (body_.size() == 1) {
+      const CompiledAtom& atom = body_[0];
+      FactRange rows = inst.FactsOf(atom.relation);
+      const size_t end = rows.size();
+      size_t r = delta != nullptr ? inst.DeltaBegin(*delta, atom.relation) : 0;
+      for (; r < end; ++r) {
+        if (Unify(atom.steps, rows[r], slots)) fn(slots);
+      }
+      return;
+    }
+    auto project = [&](const Substitution& sub) {
+      for (uint32_t s = 0; s < num_body_slots_; ++s) {
+        slots[s] = sub.find(slot_terms_[s])->second;
+      }
+      fn(slots);
+      return true;
+    };
+    if (delta != nullptr) {
+      ForEachHomomorphismDelta(tgd_->body(), inst, nullptr, *delta, project);
+    } else {
+      ForEachHomomorphism(tgd_->body(), inst, nullptr, project);
+    }
+  }
+
+  /// Activeness test for a trigger whose body slots are bound: true when
+  /// some head witness already exists. A head with every position bound
+  /// (a full TGD) is one ContainsRow per atom. A single head atom is one
+  /// probe of the smallest column posting over its bound positions, with
+  /// repeated existentials checked against each other. Other heads keep
+  /// the generic search. May overwrite the existential slots; `row` is
+  /// scratch.
+  bool HasWitness(const Instance& inst, Term* slots,
+                  std::vector<Term>* row) const;
+
+  /// Fires the trigger: mints the existential nulls in
+  /// ExistentialVariables() order, then adds the head rows in head order.
+  /// Appends each new row to `created`; false when the instance refused a
+  /// row (row-id space exhausted).
+  bool Fire(Instance* inst, Universe* universe, Term* slots,
+            std::vector<Term>* row, std::vector<FactRef>* created) const;
+
+  size_t num_head_atoms() const { return head_.size(); }
+  RelationId head_relation(size_t h) const { return head_[h].relation; }
+  /// Writes head atom `h` under the slots into `row`, minting nothing: for
+  /// callers whose existential slots are already filled (the
+  /// countermodel's fixed witnesses).
+  void HeadRow(size_t h, const Term* slots, std::vector<Term>* row) const;
+
+  /// The variable each slot stands for, mapped to its value: the body
+  /// homomorphism extended by the existential witnesses (ChaseStep).
+  Substitution Bindings(const Term* slots) const;
+
+ private:
+  // How one atom position relates to the slots.
+  enum class Op : uint8_t {
+    kConstant,  // holds `term`
+    kBind,      // first occurrence of `slot`: takes the row's value
+    kCheck,     // bound `slot`: must equal the row's value
+  };
+  struct Step {
+    Op op;
+    uint32_t slot;
+    Term term;  // the constant, or the variable `slot` stands for
+  };
+  struct CompiledAtom {
+    RelationId relation;
+    std::vector<Step> steps;
+  };
+
+  static bool Unify(const std::vector<Step>& steps, FactRef row,
+                    Term* slots) {
+    if (row.arity() != steps.size()) return false;
+    for (uint32_t p = 0; p < steps.size(); ++p) {
+      const Step& step = steps[p];
+      Term v = row.arg(p);
+      switch (step.op) {
+        case Op::kConstant:
+          if (v != step.term) return false;
+          break;
+        case Op::kBind:
+          slots[step.slot] = v;
+          break;
+        case Op::kCheck:
+          if (slots[step.slot] != v) return false;
+          break;
+      }
+    }
+    return true;
+  }
+
+  const Tgd* tgd_;
+  std::vector<CompiledAtom> body_;
+  std::vector<CompiledAtom> head_;
+  std::vector<Term> slot_terms_;  // the variable behind each slot
+  std::vector<uint32_t> exported_slots_;
+  uint32_t num_body_slots_ = 0;
+  uint32_t num_slots_ = 0;
+};
+
+}  // namespace rbda
+
+#endif  // RBDA_CHASE_TRIGGER_PLAN_H_

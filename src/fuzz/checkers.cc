@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "chase/certain_answers.h"
 #include "chase/containment.h"
+#include "chase/relevance.h"
 #include "core/plan_synthesis.h"
 #include "core/simplification.h"
 #include "fuzz/mutators.h"
@@ -84,7 +86,116 @@ ServiceSchema SimplifyForFragment(const ServiceSchema& schema,
   return ElimUB(schema);
 }
 
+// The containment problem the decider's countermodel tier sees.
+struct CountermodelProblem {
+  Instance start;
+  std::vector<Atom> goal;
+  std::vector<Tgd> tgds;
+  std::vector<CardinalityRule> rules;
+};
+
+// Rebuilds that problem the way DecideMonotoneAnswerability does: the
+// linearized problem for IDs and UIDs+FDs, the AMonDet reduction after
+// the fragment's simplification (FD simplification for the empty
+// fragment, choice simplification for FGTGDs and TGDs) for the FD-free
+// generic fragments.
+// std::nullopt where the decider never runs the countermodel (FDs in Γ).
+std::optional<CountermodelProblem> CountermodelProblemFor(
+    const ServiceSchema& schema, const ConjunctiveQuery& query,
+    Fragment fragment, const DecisionOptions& options) {
+  if (fragment == Fragment::kIdsOnly || fragment == Fragment::kUidsAndFds) {
+    StatusOr<LinearizedProblem> lin =
+        LinearizeForDecision(schema, query, options);
+    if (!lin.ok()) return std::nullopt;
+    return CountermodelProblem{std::move(lin->start), std::move(lin->goal),
+                               std::move(lin->tgds), {}};
+  }
+  if (fragment != Fragment::kEmpty &&
+      fragment != Fragment::kFrontierGuardedTgds &&
+      fragment != Fragment::kGeneralTgds) {
+    return std::nullopt;
+  }
+  const char* simplification = nullptr;
+  ServiceSchema simplified =
+      SimplifyForFragment(schema, fragment, &simplification);
+  TermSet accessible = options.accessible_constants.has_value()
+                           ? *options.accessible_constants
+                           : query.Constants();
+  StatusOr<AmonDetReduction> red =
+      BuildAmonDetReduction(simplified, query, {}, &accessible);
+  if (!red.ok() || !red->gamma.fds.empty()) return std::nullopt;
+  return CountermodelProblem{std::move(red->start), red->q_prime.atoms(),
+                             std::move(red->gamma.tgds),
+                             std::move(red->cardinality_rules)};
+}
+
 }  // namespace
+
+Status ValidateCountermodel(const Instance& start,
+                            const std::vector<std::vector<Atom>>& goals,
+                            const std::vector<Tgd>& tgds,
+                            const std::vector<CardinalityRule>& rules,
+                            const Instance& model) {
+  if (!start.IsSubinstanceOf(model)) {
+    return Status::FailedPrecondition(
+        "the model does not contain the start instance");
+  }
+  for (size_t i = 0; i < tgds.size(); ++i) {
+    bool satisfied = true;
+    ForEachHomomorphism(tgds[i].body(), model, nullptr,
+                        [&](const Substitution& body) {
+                          satisfied = FindHomomorphism(tgds[i].head(), model,
+                                                       &body)
+                                          .has_value();
+                          return satisfied;
+                        });
+    if (!satisfied) {
+      return Status::FailedPrecondition(
+          "TGD #" + std::to_string(i) +
+          " has a body match with no head witness");
+    }
+  }
+  for (size_t i = 0; i < rules.size(); ++i) {
+    const CardinalityRule& rule = rules[i];
+    // Distinct source and target tuples, grouped by their input values.
+    using Groups = std::map<std::vector<Term>, std::set<std::vector<Term>>>;
+    auto group = [&rule, &model](RelationId relation) {
+      Groups out;
+      for (FactRef f : model.FactsOf(relation)) {
+        std::vector<Term> binding;
+        for (uint32_t p : rule.input_positions) binding.push_back(f.arg(p));
+        out[std::move(binding)].emplace(f.args().begin(), f.args().end());
+      }
+      return out;
+    };
+    Groups sources = group(rule.source_rel);
+    Groups targets = group(rule.target_rel);
+    for (const auto& [binding, matches] : sources) {
+      if (rule.require_accessible &&
+          !std::all_of(binding.begin(), binding.end(), [&](Term t) {
+            return model.ContainsRow(rule.accessible_rel, {&t, 1});
+          })) {
+        continue;
+      }
+      size_t need = std::min<size_t>(rule.bound, matches.size());
+      auto it = targets.find(binding);
+      size_t have = it == targets.end() ? 0 : it->second.size();
+      if (have < need) {
+        return Status::FailedPrecondition(
+            "cardinality rule #" + std::to_string(i) + " has " +
+            std::to_string(have) + " of " + std::to_string(need) +
+            " targets for an accessible binding");
+      }
+    }
+  }
+  for (size_t g = 0; g < goals.size(); ++g) {
+    if (FindHomomorphism(goals[g], model).has_value()) {
+      return Status::FailedPrecondition("goal #" + std::to_string(g) +
+                                        " matches the model");
+    }
+  }
+  return Status::Ok();
+}
 
 CheckerOptions::CheckerOptions() {
   decide.chase.max_rounds = 40;
@@ -228,6 +339,32 @@ CheckReport RunCheckerBattery(const ServiceSchema& schema,
                        name(generic.verdict) + " (round " +
                        std::to_string(generic.chase.rounds) + ") on " +
                        FragmentName(fragment));
+      }
+    }
+    count(ran);
+  }
+
+  // --- countermodel-certificate: every countermodel must validate. ---
+  if (options.check_countermodel) {
+    bool ran = false;
+    std::optional<CountermodelProblem> problem =
+        CountermodelProblemFor(schema, query, fragment, options.decide);
+    if (problem.has_value()) {
+      std::optional<Instance> model =
+          CounterModelRefutesGoals(problem->start, {problem->goal},
+                                   problem->tgds, problem->rules, &universe);
+      if (model.has_value()) {
+        ran = true;
+        Status valid =
+            ValidateCountermodel(problem->start, {problem->goal},
+                                 problem->tgds, problem->rules, *model);
+        if (!valid.ok()) {
+          AddFinding(&report, "countermodel-certificate",
+                     std::string(FragmentName(fragment)) +
+                         " countermodel (" +
+                         std::to_string(model->NumFacts()) +
+                         " facts) fails validation: " + valid.message());
+        }
       }
     }
     count(ran);

@@ -42,6 +42,11 @@
 //    the output must converge to exact equality; and a non-monotone
 //    variant of the plan (duplicate access + difference) must be rejected
 //    by partial-result mode outright.
+//  * countermodel-certificate — the witness-reuse countermodel
+//    (chase/relevance.h) on the containment problem the decider chases
+//    (the linearized problem for IDs and UIDs+FDs, the AMonDet reduction
+//    for the FD-free generic fragments); every model it returns must pass
+//    ValidateCountermodel, which shares no code with the chase.
 //  * roundtrip                — serialize → parse (fresh universe) →
 //    serialize must be a fixpoint, and the re-decided verdict must match;
 //    the shrinker and the replay corpus depend on this.
@@ -111,6 +116,7 @@ struct CheckerOptions {
   bool check_chase = true;
   bool check_goal_pruned = true;
   bool check_linear_generic = true;
+  bool check_countermodel = true;
   bool check_roundtrip = true;
   bool check_fault_injection = true;
 
@@ -142,6 +148,18 @@ CheckReport RunCheckerBattery(const ServiceSchema& schema,
                               const ConjunctiveQuery& query,
                               const CheckerOptions& options,
                               const Instance* seed_data = nullptr);
+
+/// Checks a countermodel certificate (CounterModelRefutesGoals) with
+/// nothing but Instance, ForEachHomomorphism and FindHomomorphism. OK iff
+/// `model` contains `start`, satisfies every TGD, gives every cardinality
+/// rule at least min(bound, #matches) distinct targets per accessible
+/// binding, and admits no goal match; FailedPrecondition naming the first
+/// violation otherwise.
+Status ValidateCountermodel(const Instance& start,
+                            const std::vector<std::vector<Atom>>& goals,
+                            const std::vector<Tgd>& tgds,
+                            const std::vector<CardinalityRule>& rules,
+                            const Instance& model);
 
 /// The deliberately broken "simplification" behind
 /// `inject_simplification_bug`: strips every result bound / lower bound,

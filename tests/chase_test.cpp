@@ -1,6 +1,11 @@
+#include <map>
+#include <string>
+
 #include "chase/chase.h"
 #include "chase/containment.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
+#include "obs/profile.h"
 
 namespace rbda {
 namespace {
@@ -309,6 +314,160 @@ TEST_F(ChaseTest, CardinalityRuleRespectsExistingWitnesses) {
   EXPECT_EQ(result.instance.FactsOf(racc).size(), 2u);
 }
 
+// ---- Pins of the generic engine's trigger path. ----
+//
+// Each case renders the whole run — rounds, firings, every recorded
+// ChaseStep (round, TGD, body homomorphism plus witnesses, created facts
+// in creation order) and the final instance, nulls included — and
+// compares it with the rendering recorded from the Substitution-based
+// engine, so any change in which triggers fire, in what order, or which
+// nulls they mint shows up here.
+std::string Render(const ChaseResult& r, const Universe& u) {
+  std::string out = "rounds=" + std::to_string(r.rounds) +
+                    " tgd_steps=" + std::to_string(r.tgd_steps) +
+                    " facts=" + std::to_string(r.instance.NumFacts()) + "\n";
+  for (const ChaseStep& step : r.trace) {
+    std::map<std::string, std::string> trigger;
+    for (const auto& [var, value] : step.trigger) {
+      trigger[u.TermName(var)] = u.TermName(value);
+    }
+    out += "step round=" + std::to_string(step.round) +
+           " tgd=" + std::to_string(step.tgd_index) + " {";
+    for (const auto& [var, value] : trigger) out += var + "=" + value + " ";
+    out += "} +";
+    for (const Fact& f : step.added) out += " " + FactToString(f, u);
+    out += "\n";
+  }
+  return out + r.instance.ToString(u);
+}
+
+class ChasePinTest : public ChaseTest {
+ protected:
+  std::string Chase(const Instance& start, const ConstraintSet& cs) {
+    ChaseOptions options;
+    options.record_trace = true;
+    return Render(RunChase(start, cs, &universe_, options), universe_);
+  }
+};
+
+// A full head of two atoms: R(x,y) → S(y,x) ∧ T(x). The trigger on R(a,b)
+// is already satisfied and is skipped; R(c,a) finds S(a,c) present and
+// adds only T(c).
+TEST_F(ChasePinTest, SatisfiedFullMultiAtomHeadIsSkipped) {
+  ConstraintSet cs;
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
+                       std::vector<Atom>{Atom(s_, {y_, x_}), Atom(t_, {x_})});
+  Instance start;
+  start.AddFact(r_, {a_, b_});
+  start.AddFact(s_, {b_, a_});
+  start.AddFact(t_, {a_});
+  start.AddFact(r_, {b_, c_});
+  start.AddFact(r_, {c_, a_});
+  start.AddFact(s_, {a_, c_});
+  EXPECT_EQ(Chase(start, cs),
+            "rounds=2 tgd_steps=2 facts=9\n"
+            "step round=1 tgd=0 {x=b y=c } + S(c, b) T(b)\n"
+            "step round=1 tgd=0 {x=c y=a } + T(c)\n"
+            "R(a, b)\n"
+            "R(b, c)\n"
+            "R(c, a)\n"
+            "S(a, c)\n"
+            "S(b, a)\n"
+            "S(c, b)\n"
+            "T(a)\n"
+            "T(b)\n"
+            "T(c)\n");
+}
+
+// The bounded-method accessibility axiom shape: one existential shared by
+// three head atoms, acc(x) ∧ R(x,y) → ∃z R(x,z) ∧ P(x,z) ∧ acc(z).
+TEST_F(ChasePinTest, ExistentialSharedAcrossThreeHeadAtoms) {
+  RelationId acc = *universe_.AddRelation("acc", 1);
+  RelationId p = *universe_.AddRelation("P", 2);
+  Term d = universe_.Constant("d");
+  ConstraintSet cs;
+  cs.tgds.emplace_back(
+      std::vector<Atom>{Atom(acc, {x_}), Atom(r_, {x_, y_})},
+      std::vector<Atom>{Atom(r_, {x_, z_}), Atom(p, {x_, z_}),
+                        Atom(acc, {z_})});
+  Instance start;
+  start.AddFact(acc, {a_});
+  start.AddFact(r_, {a_, b_});
+  start.AddFact(r_, {b_, c_});  // b is not accessible
+  start.AddFact(acc, {c_});     // c's trigger is already satisfied
+  start.AddFact(r_, {c_, d});
+  start.AddFact(p, {c_, d});
+  start.AddFact(acc, {d});
+  EXPECT_EQ(Chase(start, cs),
+            "rounds=2 tgd_steps=1 facts=10\n"
+            "step round=1 tgd=0 {x=a y=b z=_n0 }"
+            " + R(a, _n0) P(a, _n0) acc(_n0)\n"
+            "R(a, b)\n"
+            "R(a, _n0)\n"
+            "R(b, c)\n"
+            "R(c, d)\n"
+            "acc(a)\n"
+            "acc(c)\n"
+            "acc(d)\n"
+            "acc(_n0)\n"
+            "P(a, _n0)\n"
+            "P(c, d)\n");
+}
+
+// A body with a repeated variable and a constant: V(x, x, c) → S(x, z),
+// then S(x, y) → T(y).
+TEST_F(ChasePinTest, BodyWithConstantAndRepeatedVariable) {
+  RelationId v = *universe_.AddRelation("V", 3);
+  Term d = universe_.Constant("d");
+  ConstraintSet cs;
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(v, {x_, x_, c_})},
+                       std::vector<Atom>{Atom(s_, {x_, z_})});
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(s_, {x_, y_})},
+                       std::vector<Atom>{Atom(t_, {y_})});
+  Instance start;
+  start.AddFact(v, {a_, a_, c_});
+  start.AddFact(v, {a_, b_, c_});  // x, x does not unify
+  start.AddFact(v, {b_, b_, d});   // constant c does not unify
+  start.AddFact(v, {d, d, c_});
+  EXPECT_EQ(Chase(start, cs),
+            "rounds=2 tgd_steps=4 facts=8\n"
+            "step round=1 tgd=0 {x=a z=_n0 } + S(a, _n0)\n"
+            "step round=1 tgd=0 {x=d z=_n1 } + S(d, _n1)\n"
+            "step round=1 tgd=1 {x=a y=_n0 } + T(_n0)\n"
+            "step round=1 tgd=1 {x=d y=_n1 } + T(_n1)\n"
+            "S(a, _n0)\n"
+            "S(d, _n1)\n"
+            "T(_n0)\n"
+            "T(_n1)\n"
+            "V(a, a, c)\n"
+            "V(a, b, c)\n"
+            "V(b, b, d)\n"
+            "V(d, d, c)\n");
+}
+
+// Two body matches with the same exported tuple in one semi-naive round:
+// round 1 creates S(a, n1) and S(a, n2); in round 2, S(x, y) → R(x, z)
+// matches both with x = a and fires once, for the first match.
+TEST_F(ChasePinTest, SameExportedTupleTwiceInOneDeltaRound) {
+  Term w = universe_.Variable("w");
+  ConstraintSet cs;
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(s_, {x_, y_})},
+                       std::vector<Atom>{Atom(r_, {x_, z_})});
+  cs.tgds.emplace_back(
+      std::vector<Atom>{Atom(t_, {x_})},
+      std::vector<Atom>{Atom(s_, {x_, y_}), Atom(s_, {x_, w})});
+  Instance start;
+  start.AddFact(t_, {a_});
+  EXPECT_EQ(Chase(start, cs),
+            "rounds=3 tgd_steps=2 facts=4\n"
+            "step round=1 tgd=1 {w=_n1 x=a y=_n0 } + S(a, _n0) S(a, _n1)\n"
+            "step round=2 tgd=0 {x=a y=_n0 z=_n2 } + R(a, _n2)\n"
+            "R(a, _n2)\n"
+            "S(a, _n0)\n"
+            "S(a, _n1)\n"
+            "T(a)\n");
+}
+
 // ---- Containment. ----
 
 TEST_F(ChaseTest, ContainmentUnderIds) {
@@ -491,6 +650,32 @@ TEST_F(ChaseTest, LinearContainmentInfiniteChaseDecided) {
       CheckLinearContainment(q, no, ids, &universe_, depth);
   EXPECT_EQ(pruned.verdict, ContainmentVerdict::kNotContained);
   EXPECT_EQ(pruned.depth_reached, 0u);
+}
+
+// The UCQ front end reports like the other two: one containment.checks
+// count, one containment.check_us sample and one profiler record a call.
+TEST_F(ChaseTest, UcqContainmentIsCountedTimedAndProfiled) {
+  Counter* checks =
+      MetricsRegistry::Default().GetCounter("containment.checks");
+  Distribution* check_us =
+      MetricsRegistry::Default().GetDistribution("containment.check_us");
+  const uint64_t checks_before = checks->value();
+  const uint64_t samples_before = check_us->count();
+  const uint64_t records_before =
+      QueryProfiler::Default().TakeSnapshot().checks;
+
+  ConstraintSet cs;
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
+                       std::vector<Atom>{Atom(s_, {y_, x_})});
+  UnionQuery q({ConjunctiveQuery::Boolean({Atom(r_, {a_, b_})})});
+  UnionQuery q_prime({ConjunctiveQuery::Boolean({Atom(t_, {a_})}),
+                      ConjunctiveQuery::Boolean({Atom(s_, {b_, a_})})});
+  EXPECT_EQ(CheckUcqContainment(q, q_prime, cs, &universe_).verdict,
+            ContainmentVerdict::kContained);
+  EXPECT_EQ(checks->value(), checks_before + 1);
+  EXPECT_EQ(check_us->count(), samples_before + 1);
+  EXPECT_EQ(QueryProfiler::Default().TakeSnapshot().checks,
+            records_before + 1);
 }
 
 TEST_F(ChaseTest, JohnsonKlugBoundPositive) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "chase/relevance.h"
 #include "fuzz/checkers.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/mutators.h"
@@ -136,7 +137,7 @@ TEST(FuzzLoopTest, InjectedPartialBugIsCaughtAndShrunk) {
   CheckerOptions& c = options.checkers;
   c.check_naive = c.check_simplification = c.check_oracle = c.check_plan =
       c.check_chase = c.check_goal_pruned = c.check_linear_generic =
-          c.check_roundtrip = false;
+          c.check_countermodel = c.check_roundtrip = false;
   FuzzReport report = RunFuzzer(options);
   ASSERT_FALSE(report.findings.empty())
       << "the injected non-monotone degradation bug went undetected";
@@ -164,8 +165,8 @@ TEST(FuzzLoopTest, InjectedOverpruneBugIsCaughtAndShrunk) {
   // Only the prune-differential checker, so every finding is attributable.
   CheckerOptions& c = options.checkers;
   c.check_naive = c.check_simplification = c.check_oracle = c.check_plan =
-      c.check_chase = c.check_linear_generic = c.check_roundtrip =
-          c.check_fault_injection = false;
+      c.check_chase = c.check_linear_generic = c.check_countermodel =
+          c.check_roundtrip = c.check_fault_injection = false;
   FuzzReport report = RunFuzzer(options);
   ASSERT_FALSE(report.findings.empty())
       << "the injected overpruning bug went undetected";
@@ -194,8 +195,8 @@ TEST(FuzzLoopTest, InjectedStaleGoalBugIsCaughtAndShrunk) {
   // Only the engine-differential checker, so every finding is attributable.
   CheckerOptions& c = options.checkers;
   c.check_naive = c.check_simplification = c.check_oracle = c.check_plan =
-      c.check_chase = c.check_goal_pruned = c.check_roundtrip =
-          c.check_fault_injection = false;
+      c.check_chase = c.check_goal_pruned = c.check_countermodel =
+          c.check_roundtrip = c.check_fault_injection = false;
   FuzzReport report = RunFuzzer(options);
   ASSERT_FALSE(report.findings.empty())
       << "the injected stale goal matcher went undetected";
@@ -215,6 +216,96 @@ TEST(FuzzLoopTest, InjectedStaleGoalBugIsCaughtAndShrunk) {
     ASSERT_TRUE(clean.ok()) << clean.status().ToString();
     EXPECT_TRUE(clean->AllAgree()) << f.shrunk;
   }
+}
+
+// The countermodel certificate checker shares no code with the chase.
+// The real model of an infinite chase (R → ∃z S, S → ∃z R) validates; the
+// same model minus one derived head row, judged against a goal it
+// satisfies, or held to a start fact it lacks does not.
+TEST(ValidateCountermodelTest, AcceptsTheModelRejectsBrokenOnes) {
+  Universe u;
+  RelationId r = *u.AddRelation("R", 2);
+  RelationId s = *u.AddRelation("S", 2);
+  Term x = u.Variable("x");
+  Term y = u.Variable("y");
+  Term z = u.Variable("z");
+  Term a = u.Constant("a");
+  Term b = u.Constant("b");
+  std::vector<Tgd> tgds;
+  tgds.emplace_back(std::vector<Atom>{Atom(r, {x, y})},
+                    std::vector<Atom>{Atom(s, {y, z})});
+  tgds.emplace_back(std::vector<Atom>{Atom(s, {x, y})},
+                    std::vector<Atom>{Atom(r, {y, z})});
+  Instance start;
+  start.AddFact(r, {a, b});
+  std::vector<std::vector<Atom>> goals{{Atom(s, {x, x})}};
+  std::optional<Instance> model =
+      CounterModelRefutesGoals(start, goals, tgds, {}, &u);
+  ASSERT_TRUE(model.has_value());
+  EXPECT_TRUE(ValidateCountermodel(start, goals, tgds, {}, *model).ok());
+
+  // S(b, n) is the head row R(a, b) needs.
+  Instance missing;
+  bool dropped = false;
+  model->ForEachFact([&](FactRef f) {
+    if (!dropped && f.relation() == s && f.arg(0) == b) {
+      dropped = true;
+    } else {
+      missing.AddFact(f);
+    }
+  });
+  ASSERT_TRUE(dropped);
+  Status no_row = ValidateCountermodel(start, goals, tgds, {}, missing);
+  EXPECT_FALSE(no_row.ok());
+  EXPECT_NE(no_row.message().find("TGD #0"), std::string::npos)
+      << no_row.message();
+
+  Status matched =
+      ValidateCountermodel(start, {{Atom(s, {x, y})}}, tgds, {}, *model);
+  EXPECT_FALSE(matched.ok());
+  EXPECT_NE(matched.message().find("goal #0"), std::string::npos)
+      << matched.message();
+
+  Instance bigger_start = start;
+  bigger_start.AddFact(r, {b, a});
+  EXPECT_FALSE(
+      ValidateCountermodel(bigger_start, goals, tgds, {}, *model).ok());
+}
+
+// Cardinality rules: binding a has two R matches and bound 2, so the
+// model needs two distinct U targets for it.
+TEST(ValidateCountermodelTest, ChecksCardinalityLowerBounds) {
+  Universe u;
+  RelationId r = *u.AddRelation("R", 2);
+  RelationId target = *u.AddRelation("U", 2);
+  RelationId acc = *u.AddRelation("accessible", 1);
+  Term x = u.Variable("x");
+  Term a = u.Constant("a");
+  CardinalityRule rule{r, {0}, target, 2, acc};
+  Instance start;
+  start.AddFact(r, {a, u.Constant("b")});
+  start.AddFact(r, {a, u.Constant("c")});
+  start.AddFact(acc, {a});
+  std::vector<std::vector<Atom>> goals{{Atom(target, {x, x})}};
+  std::optional<Instance> model =
+      CounterModelRefutesGoals(start, goals, {}, {rule}, &u);
+  ASSERT_TRUE(model.has_value());
+  EXPECT_TRUE(ValidateCountermodel(start, goals, {}, {rule}, *model).ok());
+
+  Instance one_target;
+  bool dropped = false;
+  model->ForEachFact([&](FactRef f) {
+    if (!dropped && f.relation() == target) {
+      dropped = true;
+    } else {
+      one_target.AddFact(f);
+    }
+  });
+  Status short_by_one =
+      ValidateCountermodel(start, goals, {}, {rule}, one_target);
+  EXPECT_FALSE(short_by_one.ok());
+  EXPECT_NE(short_by_one.message().find("1 of 2"), std::string::npos)
+      << short_by_one.message();
 }
 
 TEST(FuzzReplayTest, RejectsDocumentWithoutQuery) {

@@ -7,6 +7,7 @@
 #include "chase/relevance.h"
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "chase/chase.h"
@@ -283,6 +284,120 @@ TEST_F(RelevanceTest, CounterModelBudgetExhaustionIsInconclusive) {
                                         &universe_, /*max_facts=*/1));
   EXPECT_TRUE(CounterModelRefutesGoals(start, {{Atom(t_, {x_})}}, tgds, {},
                                        &universe_));
+}
+
+// Rounds are level-synchronous: a round matches bodies against the model
+// as it stood when the round began, and adds what it derived only at the
+// end. A chain R0 → R1 → … → Rk with its TGDs listed in chain order
+// therefore takes one round per link plus the round that finds nothing
+// new, even though one pass in TGD order could walk the whole chain.
+TEST_F(RelevanceTest, CounterModelRoundsAreLevelSynchronous) {
+  constexpr size_t kLinks = 4;
+  std::vector<RelationId> chain;
+  for (size_t i = 0; i <= kLinks; ++i) {
+    chain.push_back(*universe_.AddRelation("C" + std::to_string(i), 1));
+  }
+  std::vector<Tgd> tgds;
+  for (size_t i = 0; i < kLinks; ++i) {
+    tgds.emplace_back(std::vector<Atom>{Atom(chain[i], {x_})},
+                      std::vector<Atom>{Atom(chain[i + 1], {x_})});
+  }
+  Instance start;
+  start.AddFact(chain[0], {universe_.Constant("a")});
+  std::vector<std::vector<Atom>> goals{{Atom(t_, {x_})}};
+
+  EXPECT_TRUE(CounterModelRefutesGoals(start, goals, tgds, {}, &universe_,
+                                       /*max_facts=*/4096,
+                                       /*max_rounds=*/kLinks + 1));
+  EXPECT_FALSE(CounterModelRefutesGoals(start, goals, tgds, {}, &universe_,
+                                        /*max_facts=*/4096,
+                                        /*max_rounds=*/kLinks));
+  // The last link is derived: a goal on it is not refuted.
+  EXPECT_FALSE(CounterModelRefutesGoals(
+      start, {{Atom(chain[kLinks], {x_})}}, tgds, {}, &universe_));
+}
+
+// A multi-atom body whose only match joins a start fact with a fact first
+// derived in round 2: P → Q (round 1), Q → S (round 2), S ∧ T → V
+// (round 3, with T from the start). Round 4 finds nothing new.
+TEST_F(RelevanceTest, CounterModelJoinsStartFactWithDerivedFact) {
+  RelationId p = *universe_.AddRelation("P", 1);
+  RelationId q = *universe_.AddRelation("Q", 1);
+  RelationId s1 = *universe_.AddRelation("S1", 1);
+  RelationId v = *universe_.AddRelation("V", 1);
+  std::vector<Tgd> tgds;
+  // The join comes first in TGD order; it still waits for round 3.
+  tgds.emplace_back(std::vector<Atom>{Atom(s1, {x_}), Atom(t_, {x_})},
+                    std::vector<Atom>{Atom(v, {x_})});
+  tgds.emplace_back(std::vector<Atom>{Atom(p, {x_})},
+                    std::vector<Atom>{Atom(q, {x_})});
+  tgds.emplace_back(std::vector<Atom>{Atom(q, {x_})},
+                    std::vector<Atom>{Atom(s1, {x_})});
+  Term a = universe_.Constant("a");
+  Term b = universe_.Constant("b");
+  Instance start;
+  start.AddFact(p, {a});
+  start.AddFact(t_, {a});
+  start.AddFact(t_, {b});  // no S1(b): joins nothing
+
+  std::vector<std::vector<Atom>> refuted{{Atom(u_, {x_, y_})}};
+  EXPECT_TRUE(CounterModelRefutesGoals(start, refuted, tgds, {}, &universe_,
+                                       4096, /*max_rounds=*/4));
+  EXPECT_FALSE(CounterModelRefutesGoals(start, refuted, tgds, {}, &universe_,
+                                        4096, /*max_rounds=*/3));
+  EXPECT_FALSE(CounterModelRefutesGoals(start, {{Atom(v, {a})}}, tgds, {},
+                                        &universe_));
+  EXPECT_TRUE(CounterModelRefutesGoals(start, {{Atom(v, {b})}}, tgds, {},
+                                       &universe_));
+}
+
+// Constants and repeated variables in a single-atom body and head:
+// W(x, x, c) → X(x, z, z, d). Only W(a, a, c) matches the body, and its
+// one witness row repeats the fixed null and carries the head constant.
+TEST_F(RelevanceTest, CounterModelConstantsAndRepeatedVariables) {
+  RelationId w = *universe_.AddRelation("W", 3);
+  RelationId xr = *universe_.AddRelation("X", 4);
+  Term z = universe_.Variable("z");
+  Term q = universe_.Variable("q");
+  Term a = universe_.Constant("a");
+  Term b = universe_.Constant("b");
+  Term c = universe_.Constant("c");
+  Term d = universe_.Constant("d");
+  std::vector<Tgd> tgds;
+  tgds.emplace_back(std::vector<Atom>{Atom(w, {x_, x_, c})},
+                    std::vector<Atom>{Atom(xr, {x_, z, z, d})});
+  Instance start;
+  start.AddFact(w, {a, a, c});
+  start.AddFact(w, {b, a, c});  // x, x does not unify
+  start.AddFact(w, {b, b, d});  // constant c does not unify
+
+  EXPECT_FALSE(CounterModelRefutesGoals(start, {{Atom(xr, {a, y_, y_, d})}},
+                                        tgds, {}, &universe_));
+  EXPECT_TRUE(CounterModelRefutesGoals(start, {{Atom(xr, {b, y_, z, q})}},
+                                       tgds, {}, &universe_));
+  EXPECT_TRUE(CounterModelRefutesGoals(start, {{Atom(xr, {x_, y_, z, c})}},
+                                       tgds, {}, &universe_));
+  EXPECT_TRUE(CounterModelRefutesGoals(start, {{Atom(xr, {x_, x_, z, q})}},
+                                       tgds, {}, &universe_));
+}
+
+// The parser never builds a TGD with an empty body, but the API takes
+// one: → ∃z T(z) fires in round 1, and round 2 finds nothing new.
+TEST_F(RelevanceTest, CounterModelEmptyBodyTgd) {
+  Term z = universe_.Variable("z");
+  std::vector<Tgd> tgds;
+  tgds.emplace_back(std::vector<Atom>{}, std::vector<Atom>{Atom(t_, {z})});
+  Instance start;
+  start.AddFact(r_, {universe_.Constant("a"), universe_.Constant("b")});
+
+  EXPECT_FALSE(CounterModelRefutesGoals(start, {{Atom(t_, {x_})}}, tgds, {},
+                                        &universe_));
+  EXPECT_TRUE(CounterModelRefutesGoals(start, {{Atom(s_, {x_, y_})}}, tgds,
+                                       {}, &universe_, 4096,
+                                       /*max_rounds=*/2));
+  EXPECT_FALSE(CounterModelRefutesGoals(start, {{Atom(s_, {x_, y_})}}, tgds,
+                                        {}, &universe_, 4096,
+                                        /*max_rounds=*/1));
 }
 
 TEST(ResolvePruneTest, ExplicitRequestWinsOverEnvironment) {

@@ -29,7 +29,8 @@
 //     must flag the missed goals)
 // --checkers restricts the battery to the named checkers (comma-separated:
 // naive, simplification, oracle, plan, chase, goal-pruned,
-// linear-generic, roundtrip, fault-injection). --fault-plans
+// linear-generic, countermodel-certificate, roundtrip, fault-injection).
+// --fault-plans
 // sets how many mutated fault plans the fault-injection checker runs per
 // case.
 // --prune=off disables goal-directed relevance pruning in every decide the
@@ -164,8 +165,8 @@ bool FuzzCli::Parse(int argc, char** argv, FuzzCli* out) {
       CheckerOptions& c = out->fuzz.checkers;
       c.check_naive = c.check_simplification = c.check_oracle =
           c.check_plan = c.check_chase = c.check_goal_pruned =
-              c.check_linear_generic = c.check_roundtrip =
-                  c.check_fault_injection = false;
+              c.check_linear_generic = c.check_countermodel =
+                  c.check_roundtrip = c.check_fault_injection = false;
       std::stringstream names(value);
       std::string name;
       while (std::getline(names, name, ',')) {
@@ -183,6 +184,8 @@ bool FuzzCli::Parse(int argc, char** argv, FuzzCli* out) {
           c.check_goal_pruned = true;
         } else if (name == "linear-generic") {
           c.check_linear_generic = true;
+        } else if (name == "countermodel-certificate") {
+          c.check_countermodel = true;
         } else if (name == "roundtrip") {
           c.check_roundtrip = true;
         } else if (name == "fault-injection") {
