@@ -10,7 +10,6 @@ namespace rbda {
 
 namespace {
 
-std::atomic<ThreadQuiesceHook> g_quiesce_hook{nullptr};
 std::atomic<TaskContextCapture> g_context_capture{nullptr};
 std::atomic<TaskContextSwap> g_context_swap{nullptr};
 
@@ -21,20 +20,7 @@ thread_local bool t_on_worker = false;
 thread_local TaskPool* t_pool = nullptr;
 thread_local size_t t_pool_index = 0;
 
-void RunQuiesceHook() {
-  ThreadQuiesceHook hook = g_quiesce_hook.load(std::memory_order_acquire);
-  if (hook != nullptr) hook();
-}
-
 }  // namespace
-
-void SetThreadQuiesceHook(ThreadQuiesceHook hook) {
-  g_quiesce_hook.store(hook, std::memory_order_release);
-}
-
-ThreadQuiesceHook GetThreadQuiesceHook() {
-  return g_quiesce_hook.load(std::memory_order_acquire);
-}
 
 void SetTaskContextHooks(TaskContextCapture capture, TaskContextSwap swap) {
   g_context_capture.store(capture, std::memory_order_release);
@@ -152,10 +138,7 @@ void TaskPool::WorkerLoop(size_t index) {
       task = nullptr;
       continue;
     }
-    // Out of work: fold this thread's metric cells into the shared
-    // registry before going idle, so a quiesced pool leaves nothing
-    // buffered, then sleep until new work or shutdown.
-    RunQuiesceHook();
+    // Out of work: sleep until new work or shutdown.
     std::unique_lock<std::mutex> lock(mu_);
     if (stop_) break;
     cv_.wait_for(lock, std::chrono::milliseconds(1));
@@ -163,7 +146,6 @@ void TaskPool::WorkerLoop(size_t index) {
   }
   t_pool = nullptr;
   t_on_worker = false;
-  RunQuiesceHook();
 }
 
 void TaskPool::Wait() {
@@ -219,7 +201,6 @@ Status ParallelFor(size_t n, size_t jobs,
       }
       if (!s.ok() && first_error.ok()) first_error = s;
     }
-    RunQuiesceHook();
     return first_error;
   }
 
@@ -229,7 +210,6 @@ Status ParallelFor(size_t n, size_t jobs,
     pool.Submit([&, i] { statuses[i] = fn(i); });
   }
   pool.Wait();
-  RunQuiesceHook();
   // Exceptions were captured into the pool's status; attribute them ahead
   // of per-index failures only if no indexed failure precedes... they have
   // no index, so report the first indexed failure if any, else the pool's.

@@ -40,14 +40,6 @@
 
 namespace rbda {
 
-/// Hook run by every pool worker when it quiesces (runs out of work or
-/// exits) and by ParallelFor on the calling thread after a sweep. The obs
-/// library installs FlushThreadMetricCells here so per-thread counter
-/// cells are folded into the shared registry whenever a pool goes idle.
-using ThreadQuiesceHook = void (*)();
-void SetThreadQuiesceHook(ThreadQuiesceHook hook);
-ThreadQuiesceHook GetThreadQuiesceHook();
-
 /// Hooks for carrying an opaque per-thread context token across task
 /// submission: `capture` is called on the submitting thread at Submit();
 /// `swap` installs a token on the worker around the task (returning the

@@ -191,10 +191,10 @@ class Engine {
     }
     auto goal_holds = [&](const Instance::DeltaMark* delta) {
       for (GoalMatcher& matcher : matchers) {
-        Metrics().hom_checks->IncrementCell();
+        Metrics().hom_checks->Increment();
         ++result_.goal_checks;
         if (matcher.Holds(result_.instance, delta)) {
-          Metrics().hom_checks_ok->IncrementCell();
+          Metrics().hom_checks_ok->Increment();
           return true;
         }
       }
@@ -218,17 +218,17 @@ class Engine {
 
     for (uint64_t round = 1; round <= options_.max_rounds; ++round) {
       result_.rounds = round;
-      Metrics().rounds->IncrementCell();
+      Metrics().rounds->Increment();
       Instance::DeltaMark round_mark = result_.instance.Mark();
       bool semi = options_.use_semi_naive && prev_mark_valid &&
                   result_.instance.MarkValid(prev_mark);
       const Instance::DeltaMark* delta = semi ? &prev_mark : nullptr;
       if (semi) {
-        Metrics().delta_rounds->IncrementCell();
+        Metrics().delta_rounds->Increment();
         Metrics().delta_size->Record(result_.instance.generation() -
                                      prev_mark.generation);
       } else {
-        Metrics().delta_full_rounds->IncrementCell();
+        Metrics().delta_full_rounds->Increment();
       }
       uint64_t fired = FireTgdRound(round, delta);
       if (!budget_tripped_) fired += FireCardinalityRound(delta);
@@ -320,8 +320,8 @@ class Engine {
         }
         ++fired;
         ++result_.tgd_steps;
-        Metrics().triggers_tgd->IncrementCell();
-        Metrics().facts_created->IncrementCell(created_.size());
+        Metrics().triggers_tgd->Increment();
+        Metrics().facts_created->Increment(created_.size());
         if (options_.record_trace) {
           // Record the full body homomorphism plus the fresh witnesses so
           // consumers (plan extraction) can reconstruct both the trigger
@@ -441,8 +441,8 @@ class Engine {
           }
           ++have;
           ++fired;
-          Metrics().triggers_cardinality->IncrementCell();
-          Metrics().facts_created->IncrementCell();
+          Metrics().triggers_cardinality->Increment();
+          Metrics().facts_created->Increment();
           if (result_.instance.NumFacts() > options_.max_facts) {
             // Stop at the point of violation: a single rule with a large
             // bound must not blow past the fact budget within one round.
@@ -509,7 +509,7 @@ class Engine {
           it->second = a;
           ++unions;
           ++result_.egd_merges;
-          Metrics().triggers_egd->IncrementCell();
+          Metrics().triggers_egd->Increment();
           changed = true;
         }
       }

@@ -198,14 +198,19 @@ ContainmentOutcome CheckUcqContainment(const UnionQuery& q,
   // the goals and Σ, not on the start instance.
   RelevanceResult relevance;
   ChaseOptions chase_options = options;
+  uint64_t pruned_constraints = 0;
   if (options.prune_to_goal) {
     relevance =
         ComputeRelevance(goals, sigma.tgds, sigma.fds, {},
                          universe != nullptr ? universe->NumRelations() : 0,
                          options.inject_overprune_for_testing);
     chase_options.relevant_relations = &relevance.relevant_relations;
+    pruned_constraints = relevance.PrunedConstraints();
+    Metrics().prune_checks->Increment();
+    if (pruned_constraints > 0) {
+      Metrics().prune_constraints->Increment(pruned_constraints);
+    }
   }
-  const uint64_t pruned_constraints = relevance.PrunedConstraints();
 
   ContainmentOutcome overall;
   overall.verdict = ContainmentVerdict::kContained;  // empty Q is contained
@@ -386,10 +391,10 @@ ContainmentOutcome CheckLinearContainmentFrom(
   // depth's new facts can newly satisfy the goal.
   GoalMatcher matcher(goal, options.inject_stale_goal_for_testing);
   auto goal_holds = [&](const Instance::DeltaMark* delta) {
-    Metrics().hom_checks->IncrementCell();
+    Metrics().hom_checks->Increment();
     ++out.chase.goal_checks;
     bool found = matcher.Holds(inst, delta);
-    if (found) Metrics().hom_checks_ok->IncrementCell();
+    if (found) Metrics().hom_checks_ok->Increment();
     return found;
   };
 
@@ -474,7 +479,7 @@ ContainmentOutcome CheckLinearContainmentFrom(
       for (uint32_t ci : by_relation[fact.relation()]) {
         const CompiledTgd& c = compiled[ci];
         if (!c.MatchBody(fact, slots.data())) continue;
-        Metrics().activeness_checks->IncrementCell();
+        Metrics().activeness_checks->Increment();
         if (c.HasWitness(inst, slots.data(), &row)) continue;  // not active
         size_t before = next.size();
         if (!c.Fire(&inst, universe, slots.data(), &row, &next)) {
@@ -482,12 +487,12 @@ ContainmentOutcome CheckLinearContainmentFrom(
           break;
         }
         ++out.chase.tgd_steps;
-        Metrics().chase_triggers_tgd->IncrementCell();
-        Metrics().chase_facts_created->IncrementCell(next.size() - before);
+        Metrics().chase_triggers_tgd->Increment();
+        Metrics().chase_facts_created->Increment(next.size() - before);
       }
     }
     out.chase.rounds = depth;
-    Metrics().chase_rounds->IncrementCell();
+    Metrics().chase_rounds->Increment();
     if (TraceEnabled()) {
       TraceEventRecord("chase.round.linear",
                        {{"depth", static_cast<int64_t>(depth)},
@@ -500,7 +505,7 @@ ContainmentOutcome CheckLinearContainmentFrom(
     if (row_ids_exhausted || inst.NumFacts() > max_facts) {
       out.chase.status = ChaseStatus::kBudgetExceeded;
       out.chase.exhausted = ChaseExhausted::kFacts;
-      Metrics().chase_exhausted_facts->IncrementCell();
+      Metrics().chase_exhausted_facts->Increment();
       return finish(ContainmentVerdict::kUnknown);
     }
     frontier = std::move(next);
@@ -516,7 +521,7 @@ ContainmentOutcome CheckLinearContainmentFrom(
   } else {
     out.chase.status = ChaseStatus::kBudgetExceeded;
     out.chase.exhausted = ChaseExhausted::kRounds;
-    Metrics().chase_exhausted_rounds->IncrementCell();
+    Metrics().chase_exhausted_rounds->Increment();
   }
   return finish(ContainmentVerdict::kNotContained);
 }

@@ -1,5 +1,6 @@
 #include "fuzz/fuzzer.h"
 
+#include <filesystem>
 #include <fstream>
 #include <map>
 
@@ -81,8 +82,10 @@ ServiceSchema GenerateFamilySchema(FuzzFamily family, Universe* universe,
 
 void WriteReproFile(const FuzzOptions& options, FuzzFinding* finding) {
   if (options.out_dir.empty()) return;
-  std::string path = options.out_dir + "/finding_" + finding->checker +
-                     "_case" + std::to_string(finding->case_index) + ".rbda";
+  std::string path = ReproFilePath(options.out_dir, *finding);
+  // A directory that cannot be created shows up as the open failing.
+  std::error_code ignored;
+  std::filesystem::create_directories(options.out_dir, ignored);
   std::ofstream out(path);
   if (!out.is_open()) return;
   out << "# fuzz finding: checker=" << finding->checker << "\n"
@@ -209,6 +212,12 @@ std::optional<FuzzFinding> RunOneCase(const FuzzOptions& options,
 }
 
 }  // namespace
+
+std::string ReproFilePath(const std::string& out_dir,
+                          const FuzzFinding& finding) {
+  return out_dir + "/finding_" + finding.checker + "_case" +
+         std::to_string(finding.case_index) + ".rbda";
+}
 
 FuzzReport RunFuzzer(const FuzzOptions& options) {
   FuzzReport report;

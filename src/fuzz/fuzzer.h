@@ -36,8 +36,8 @@ struct FuzzOptions {
   /// Restrict to one family; unset = rotate through all four.
   std::optional<FuzzFamily> family;
   bool shrink = true;
-  /// Directory for minimized repro files; empty = keep findings in memory
-  /// only.
+  /// Directory for minimized repro files, created if missing; empty = keep
+  /// findings in memory only.
   std::string out_dir;
   /// Mutations applied per case are drawn from [0, max_mutations].
   size_t max_mutations = 2;
@@ -56,7 +56,7 @@ struct FuzzFinding {
   std::string detail;
   std::string document;    // the full generated case
   std::string shrunk;      // minimized repro (== document if shrinking off)
-  std::string repro_path;  // file written under out_dir, if any
+  std::string repro_path;  // file written under out_dir; empty if none was
 };
 
 struct FuzzReport {
@@ -78,6 +78,10 @@ std::string GenerateCaseDocument(const FuzzOptions& options, uint64_t index,
 /// document does not parse or declares no query.
 StatusOr<CheckReport> ReplayDocument(const std::string& document,
                                      const CheckerOptions& checkers);
+
+/// The repro file a finding is written to under `out_dir`.
+std::string ReproFilePath(const std::string& out_dir,
+                          const FuzzFinding& finding);
 
 /// Runs the full loop.
 FuzzReport RunFuzzer(const FuzzOptions& options);

@@ -3,157 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <mutex>
 
 namespace rbda {
-
-namespace {
-
-// ---- Per-thread histogram cells (same discipline as the counter cells
-// in metrics.cc). ----
-//
-// Each thread owns one fixed-size open-addressed table mapping
-// Histogram* to a heap-allocated cell of atomic bucket deltas. The
-// owning thread is the only writer; flushers and readers access the same
-// slots through atomics (the cell pointer is published by the release
-// CAS on the key), so the scheme is race-free under TSan. Tables live in
-// a global list guarded by g_hist_cells_mu; a table is deleted only
-// under that mutex, at thread exit, after folding its deltas.
-
-struct HistCell {
-  std::atomic<uint64_t> count{0};
-  std::atomic<uint64_t> sum{0};
-  std::atomic<uint64_t> buckets[Histogram::kNumBuckets] = {};
-};
-
-struct HistCellTable {
-  static constexpr size_t kSlots = 16;  // power of two (mask indexing)
-  std::atomic<const Histogram*> keys[kSlots] = {};
-  HistCell* cells[kSlots] = {};  // written before the key is published
-};
-
-std::mutex& HistCellsMutex() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::vector<HistCellTable*>& HistCellTables() {
-  static std::vector<HistCellTable*>* tables =
-      new std::vector<HistCellTable*>();
-  return *tables;
-}
-
-// Tombstone left behind when a histogram is destroyed while a thread
-// still holds a cell for it (keeps open-addressing probe chains intact).
-const Histogram* HistTombstone() {
-  return reinterpret_cast<const Histogram*>(1);
-}
-
-size_t HistSlotHash(const Histogram* h) {
-  uint64_t x = reinterpret_cast<uintptr_t>(h);
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 29;
-  return static_cast<size_t>(x) & (HistCellTable::kSlots - 1);
-}
-
-// Finds the cell for `h` in `table`, or null. Safe from any thread.
-HistCell* FindCell(HistCellTable* table, const Histogram* h) {
-  size_t slot = HistSlotHash(h);
-  for (size_t probe = 0; probe < HistCellTable::kSlots; ++probe) {
-    const Histogram* key = table->keys[slot].load(std::memory_order_acquire);
-    if (key == nullptr) return nullptr;
-    if (key == h) return table->cells[slot];
-    slot = (slot + 1) & (HistCellTable::kSlots - 1);
-  }
-  return nullptr;
-}
-
-// Moves every delta in `table` into its histogram's shared buckets.
-// Concurrently-added deltas simply stay behind for the next flush.
-void FlushHistTable(HistCellTable* table) {
-  for (size_t i = 0; i < HistCellTable::kSlots; ++i) {
-    const Histogram* key = table->keys[i].load(std::memory_order_acquire);
-    if (key == nullptr || key == HistTombstone()) continue;
-    HistCell* cell = table->cells[i];
-    Histogram* hist = const_cast<Histogram*>(key);
-    for (size_t b = 0; b < Histogram::kNumBuckets; ++b) {
-      uint64_t delta = cell->buckets[b].exchange(0, std::memory_order_relaxed);
-      // The cell bucket index is already the shared bucket index, so the
-      // delta folds straight in without re-running BucketIndex.
-      if (delta != 0) hist->MergeBucketDelta(b, delta);
-    }
-    uint64_t dc = cell->count.exchange(0, std::memory_order_relaxed);
-    uint64_t ds = cell->sum.exchange(0, std::memory_order_relaxed);
-    if (dc != 0 || ds != 0) hist->MergeCountSumDelta(dc, ds);
-  }
-}
-
-struct ThreadHistCells {
-  HistCellTable* table = nullptr;
-
-  HistCellTable* Get() {
-    if (table == nullptr) {
-      table = new HistCellTable();
-      std::lock_guard<std::mutex> lock(HistCellsMutex());
-      HistCellTables().push_back(table);
-    }
-    return table;
-  }
-
-  ~ThreadHistCells() {
-    if (table == nullptr) return;
-    std::lock_guard<std::mutex> lock(HistCellsMutex());
-    FlushHistTable(table);
-    auto& tables = HistCellTables();
-    tables.erase(std::remove(tables.begin(), tables.end(), table),
-                 tables.end());
-    for (size_t i = 0; i < HistCellTable::kSlots; ++i) delete table->cells[i];
-    delete table;
-  }
-};
-
-thread_local ThreadHistCells t_hist_cells;
-
-}  // namespace
-
-void Histogram::MergeBucketDelta(size_t bucket, uint64_t delta) {
-  buckets_[bucket].fetch_add(delta, std::memory_order_relaxed);
-}
-
-void Histogram::MergeCountSumDelta(uint64_t count, uint64_t sum) {
-  count_.fetch_add(count, std::memory_order_relaxed);
-  sum_.fetch_add(sum, std::memory_order_relaxed);
-}
-
-Histogram::~Histogram() {
-  // Drop any cells still pointing at this histogram so a late flush or
-  // fold cannot touch freed memory. (Registry histograms are never
-  // destroyed; this matters for stack/test histograms.)
-  std::lock_guard<std::mutex> lock(HistCellsMutex());
-  for (HistCellTable* table : HistCellTables()) {
-    size_t slot = HistSlotHash(this);
-    for (size_t probe = 0; probe < HistCellTable::kSlots; ++probe) {
-      const Histogram* key =
-          table->keys[slot].load(std::memory_order_acquire);
-      if (key == nullptr) break;
-      if (key == this) {
-        // Tombstone: keep the key slot occupied (open addressing must not
-        // break probe chains) but point it at a sentinel no histogram can
-        // alias, and zero the deltas.
-        HistCell* cell = table->cells[slot];
-        for (size_t b = 0; b < kNumBuckets; ++b) {
-          cell->buckets[b].store(0, std::memory_order_relaxed);
-        }
-        cell->count.store(0, std::memory_order_relaxed);
-        cell->sum.store(0, std::memory_order_relaxed);
-        table->keys[slot].store(HistTombstone(), std::memory_order_release);
-        break;
-      }
-      slot = (slot + 1) & (HistCellTable::kSlots - 1);
-    }
-  }
-}
 
 size_t Histogram::BucketIndex(uint64_t v) {
   if (v < kSubBuckets) return static_cast<size_t>(v);
@@ -195,69 +46,11 @@ void Histogram::Record(uint64_t v, uint64_t n) {
   buckets_[BucketIndex(v)].fetch_add(n, std::memory_order_relaxed);
 }
 
-void Histogram::RecordCell(uint64_t v) {
-  HistCellTable* table = t_hist_cells.Get();
-  size_t slot = HistSlotHash(this);
-  for (size_t probe = 0; probe < HistCellTable::kSlots; ++probe) {
-    const Histogram* key = table->keys[slot].load(std::memory_order_relaxed);
-    if (key == this) {
-      HistCell* cell = table->cells[slot];
-      cell->count.fetch_add(1, std::memory_order_relaxed);
-      cell->sum.fetch_add(v, std::memory_order_relaxed);
-      cell->buckets[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-      RecordMinMax(v);  // min/max are not foldable deltas; update shared
-      return;
-    }
-    if (key == nullptr) {
-      table->cells[slot] = new HistCell();
-      const Histogram* expected = nullptr;
-      if (table->keys[slot].compare_exchange_strong(
-              expected, this, std::memory_order_release)) {
-        HistCell* cell = table->cells[slot];
-        cell->count.fetch_add(1, std::memory_order_relaxed);
-        cell->sum.fetch_add(v, std::memory_order_relaxed);
-        cell->buckets[BucketIndex(v)].fetch_add(1,
-                                                std::memory_order_relaxed);
-        RecordMinMax(v);
-        return;
-      }
-      delete table->cells[slot];
-      table->cells[slot] = nullptr;
-    }
-    slot = (slot + 1) & (HistCellTable::kSlots - 1);
-  }
-  Record(v);  // table full: fall back to the shared buckets
-}
-
-void Histogram::FoldCells(uint64_t* count, uint64_t* sum,
-                          uint64_t* buckets) const {
-  std::lock_guard<std::mutex> lock(HistCellsMutex());
-  for (HistCellTable* table : HistCellTables()) {
-    HistCell* cell = FindCell(table, this);
-    if (cell == nullptr) continue;
-    if (count != nullptr) {
-      *count += cell->count.load(std::memory_order_relaxed);
-    }
-    if (sum != nullptr) *sum += cell->sum.load(std::memory_order_relaxed);
-    if (buckets != nullptr) {
-      for (size_t b = 0; b < kNumBuckets; ++b) {
-        buckets[b] += cell->buckets[b].load(std::memory_order_relaxed);
-      }
-    }
-  }
-}
-
 uint64_t Histogram::count() const {
-  uint64_t total = count_.load(std::memory_order_relaxed);
-  FoldCells(&total, nullptr, nullptr);
-  return total;
+  return count_.load(std::memory_order_relaxed);
 }
 
-uint64_t Histogram::sum() const {
-  uint64_t total = sum_.load(std::memory_order_relaxed);
-  FoldCells(nullptr, &total, nullptr);
-  return total;
-}
+uint64_t Histogram::sum() const { return sum_.load(std::memory_order_relaxed); }
 
 uint64_t Histogram::min() const {
   uint64_t m = min_.load(std::memory_order_relaxed);
@@ -274,7 +67,6 @@ HistogramSnapshot Histogram::TakeSnapshot() const {
   }
   snap.count = count_.load(std::memory_order_relaxed);
   snap.sum = sum_.load(std::memory_order_relaxed);
-  FoldCells(&snap.count, &snap.sum, snap.buckets.data());
   snap.min = min();
   snap.max = max();
   return snap;
@@ -323,20 +115,6 @@ void Histogram::Merge(const HistogramSnapshot& other) {
 }
 
 void Histogram::Reset() {
-  // Drop buffered per-thread deltas first so a late fold cannot
-  // resurrect pre-reset values.
-  {
-    std::lock_guard<std::mutex> lock(HistCellsMutex());
-    for (HistCellTable* table : HistCellTables()) {
-      HistCell* cell = FindCell(table, this);
-      if (cell == nullptr) continue;
-      for (size_t b = 0; b < kNumBuckets; ++b) {
-        cell->buckets[b].store(0, std::memory_order_relaxed);
-      }
-      cell->count.store(0, std::memory_order_relaxed);
-      cell->sum.store(0, std::memory_order_relaxed);
-    }
-  }
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
   min_.store(kEmptyMin, std::memory_order_relaxed);
@@ -362,14 +140,5 @@ uint64_t HistogramSnapshot::Quantile(double q) const {
   if (count == 0 || buckets.empty()) return 0;
   return QuantileOverBuckets(buckets.data(), count, min, max, q);
 }
-
-namespace obs_internal {
-
-void FlushThreadHistogramCells() {
-  if (t_hist_cells.table == nullptr) return;
-  FlushHistTable(t_hist_cells.table);
-}
-
-}  // namespace obs_internal
 
 }  // namespace rbda

@@ -17,12 +17,7 @@
 // histogram.
 //
 // Thread-safety mirrors Counter (metrics.h): Record() is a handful of
-// relaxed atomic adds on shared buckets; hot paths under the task pool
-// use RecordCell(), which lands the increment in a per-thread cell that
-// is folded into the shared buckets when a pool worker quiesces
-// (FlushThreadMetricCells) and at thread exit. All read accessors
-// (count/sum/min/max/Quantile/TakeSnapshot) fold live cells, so reads are
-// exact at all times either way.
+// relaxed atomic adds on shared buckets.
 #ifndef RBDA_OBS_HISTOGRAM_H_
 #define RBDA_OBS_HISTOGRAM_H_
 
@@ -64,17 +59,11 @@ class Histogram {
   Histogram() = default;
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
-  ~Histogram();
 
   /// Records `n` occurrences of `v` into the shared buckets.
   void Record(uint64_t v, uint64_t n = 1);
 
-  /// Records into this thread's private cell (folded on pool quiesce /
-  /// thread exit; see file comment). Min/max still update the shared
-  /// atomics directly — they are not expressible as foldable deltas.
-  void RecordCell(uint64_t v);
-
-  /// Exact aggregates (shared state plus live per-thread cells).
+  /// Exact aggregates.
   uint64_t count() const;
   uint64_t sum() const;
   uint64_t min() const;  // 0 when empty
@@ -86,13 +75,13 @@ class Histogram {
   /// kMaxRelativeError of the exact quantile (see file comment).
   uint64_t Quantile(double q) const;
 
-  /// Point-in-time copy including live cells.
+  /// Point-in-time copy.
   HistogramSnapshot TakeSnapshot() const;
 
   /// Adds a snapshot's contents into this histogram (bucket-wise).
   void Merge(const HistogramSnapshot& other);
 
-  /// Zeroes everything, including this histogram's live per-thread cells.
+  /// Zeroes everything.
   void Reset();
 
   // ---- Bucket geometry (exposed for tests and exporters). ----
@@ -101,17 +90,8 @@ class Histogram {
   static uint64_t BucketLowerBound(size_t index);
   static uint64_t BucketUpperBound(size_t index);
 
-  // ---- Internal: delta application for the per-thread cell flusher
-  // (histogram.cc). Not part of the public recording API. ----
-  void MergeBucketDelta(size_t bucket, uint64_t delta);
-  void MergeCountSumDelta(uint64_t count, uint64_t sum);
-
  private:
   void RecordMinMax(uint64_t v);
-  // Folds live per-thread cells for this histogram into `buckets` /
-  // `count` / `sum` (which may be null to skip).
-  void FoldCells(uint64_t* count, uint64_t* sum,
-                 uint64_t* buckets /* kNumBuckets or null */) const;
 
   static constexpr uint64_t kEmptyMin = ~uint64_t{0};
   std::atomic<uint64_t> count_{0};
@@ -120,13 +100,6 @@ class Histogram {
   std::atomic<uint64_t> max_{0};
   std::atomic<uint64_t> buckets_[kNumBuckets] = {};
 };
-
-namespace obs_internal {
-/// Folds the calling thread's histogram cells into their shared
-/// histograms. Called by FlushThreadMetricCells (metrics.cc) so one
-/// quiesce hook covers counters and histograms alike.
-void FlushThreadHistogramCells();
-}  // namespace obs_internal
 
 }  // namespace rbda
 

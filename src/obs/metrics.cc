@@ -1,161 +1,6 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-
-#include "base/task_pool.h"
-
 namespace rbda {
-
-namespace {
-
-// ---- Per-thread counter cells. ----
-//
-// Each thread owns one fixed-size open-addressed table mapping Counter* to
-// an atomic delta. The owning thread is the only writer (relaxed
-// fetch_add on an uncontended cache line — the whole point); flushers and
-// value() readers access the same slots through atomics, so the scheme is
-// race-free under TSan. Tables are registered in a global list guarded by
-// g_cells_mu; a table is deleted only under that mutex, at thread exit,
-// after folding its deltas into the shared counters.
-
-struct CellTable {
-  static constexpr size_t kSlots = 128;  // power of two (mask indexing)
-  std::atomic<const Counter*> keys[kSlots] = {};
-  std::atomic<uint64_t> vals[kSlots] = {};
-};
-
-std::mutex& CellsMutex() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::vector<CellTable*>& CellTables() {
-  static std::vector<CellTable*>* tables = new std::vector<CellTable*>();
-  return *tables;
-}
-
-size_t SlotHash(const Counter* c) {
-  uint64_t h = reinterpret_cast<uintptr_t>(c);
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 29;
-  return static_cast<size_t>(h) & (CellTable::kSlots - 1);
-}
-
-// Folds every delta in `table` into its counter's shared base. Safe from
-// any thread; concurrently-added deltas simply stay behind for the next
-// flush.
-void FlushTable(CellTable* table) {
-  for (size_t i = 0; i < CellTable::kSlots; ++i) {
-    const Counter* key = table->keys[i].load(std::memory_order_acquire);
-    if (key == nullptr) continue;
-    uint64_t delta = table->vals[i].exchange(0, std::memory_order_relaxed);
-    if (delta != 0) const_cast<Counter*>(key)->Increment(delta);
-  }
-}
-
-// Owns this thread's table; the destructor (thread exit) flushes and
-// deregisters it.
-struct ThreadCells {
-  CellTable* table = nullptr;
-
-  CellTable* Get() {
-    if (table == nullptr) {
-      table = new CellTable();
-      std::lock_guard<std::mutex> lock(CellsMutex());
-      CellTables().push_back(table);
-    }
-    return table;
-  }
-
-  ~ThreadCells() {
-    if (table == nullptr) return;
-    std::lock_guard<std::mutex> lock(CellsMutex());
-    FlushTable(table);
-    auto& tables = CellTables();
-    tables.erase(std::remove(tables.begin(), tables.end(), table),
-                 tables.end());
-    delete table;
-  }
-};
-
-thread_local ThreadCells t_cells;
-
-// Sum of the unflushed deltas for `c` across every live thread table.
-uint64_t UnflushedDelta(const Counter* c) {
-  std::lock_guard<std::mutex> lock(CellsMutex());
-  uint64_t total = 0;
-  for (CellTable* table : CellTables()) {
-    size_t slot = SlotHash(c);
-    for (size_t probe = 0; probe < CellTable::kSlots; ++probe) {
-      const Counter* key = table->keys[slot].load(std::memory_order_acquire);
-      if (key == nullptr) break;
-      if (key == c) {
-        total += table->vals[slot].load(std::memory_order_relaxed);
-        break;
-      }
-      slot = (slot + 1) & (CellTable::kSlots - 1);
-    }
-  }
-  return total;
-}
-
-// Zeroes every cell (all counters, all threads). Used by registry Reset so
-// buffered deltas do not resurrect after a reset.
-void ZeroAllCells() {
-  std::lock_guard<std::mutex> lock(CellsMutex());
-  for (CellTable* table : CellTables()) {
-    for (size_t i = 0; i < CellTable::kSlots; ++i) {
-      table->vals[i].store(0, std::memory_order_relaxed);
-    }
-  }
-}
-
-// Install the flush as the task-pool quiesce hook as soon as the obs
-// library is linked in, so pool workers fold their cells whenever they go
-// idle (metrics.h contract).
-[[maybe_unused]] const bool g_hook_installed = [] {
-  SetThreadQuiesceHook(&FlushThreadMetricCells);
-  return true;
-}();
-
-}  // namespace
-
-void Counter::IncrementCell(uint64_t delta) {
-  CellTable* table = t_cells.Get();
-  size_t slot = SlotHash(this);
-  for (size_t probe = 0; probe < CellTable::kSlots; ++probe) {
-    const Counter* key = table->keys[slot].load(std::memory_order_relaxed);
-    if (key == this) {
-      table->vals[slot].fetch_add(delta, std::memory_order_relaxed);
-      return;
-    }
-    if (key == nullptr) {
-      // Only the owning thread installs keys, so this CAS races only with
-      // itself across probes — it cannot fail spuriously against another
-      // writer, but use CAS anyway to publish the key for readers.
-      const Counter* expected = nullptr;
-      if (table->keys[slot].compare_exchange_strong(
-              expected, this, std::memory_order_release)) {
-        table->vals[slot].fetch_add(delta, std::memory_order_relaxed);
-        return;
-      }
-    }
-    slot = (slot + 1) & (CellTable::kSlots - 1);
-  }
-  Increment(delta);  // table full: fall back to the shared atomic
-}
-
-uint64_t Counter::value() const {
-  return value_.load(std::memory_order_relaxed) + UnflushedDelta(this);
-}
-
-void Counter::Reset() { value_.store(0, std::memory_order_relaxed); }
-
-void FlushThreadMetricCells() {
-  if (t_cells.table != nullptr) FlushTable(t_cells.table);
-  obs_internal::FlushThreadHistogramCells();
-}
 
 MetricsRegistry& MetricsRegistry::Default() {
   static MetricsRegistry* registry = new MetricsRegistry();
@@ -193,10 +38,6 @@ Gauge* MetricsRegistry::GetGauge(std::string_view name) {
 }
 
 void MetricsRegistry::Reset() {
-  // Drop buffered per-thread deltas first so they cannot be folded into a
-  // counter after its base is zeroed. (Distribution::Reset handles its
-  // own histogram cells.)
-  ZeroAllCells();
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, dist] : distributions_) dist->Reset();
@@ -221,7 +62,7 @@ MetricsRegistry::DistributionValues() const {
   out.reserve(distributions_.size());
   for (const auto& [name, dist] : distributions_) {
     // One snapshot per distribution so the stats and quantiles are
-    // mutually consistent (and the cell fold happens once, not six times).
+    // mutually consistent.
     HistogramSnapshot snap = dist->histogram().TakeSnapshot();
     out.emplace_back(
         name, DistributionStats{snap.count, snap.sum, snap.min, snap.max,

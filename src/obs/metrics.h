@@ -30,46 +30,26 @@
 namespace rbda {
 
 /// A monotonic counter. Thread-safe; increments are relaxed atomics.
-///
-/// Hot paths that run under the task pool (chase trigger/fact counters,
-/// containment hom-checks) use IncrementCell instead of Increment: the
-/// delta lands in a per-thread cell, so concurrent workers never contend
-/// on the shared cache line. Cells are folded into the shared value when a
-/// pool quiesces (FlushThreadMetricCells, installed as the TaskPool
-/// quiesce hook) and at thread exit; value() aggregates live cells, so
-/// reads are exact at all times either way.
 class Counter {
  public:
   void Increment(uint64_t delta = 1) {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
-  /// Adds into this thread's private cell for this counter (defined in
-  /// metrics.cc). Falls back to Increment() if the cell table is full.
-  void IncrementCell(uint64_t delta = 1);
-  /// Exact current value: the shared base plus every live thread cell.
-  uint64_t value() const;
+  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
   friend class MetricsRegistry;
-  void Reset();
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
   std::atomic<uint64_t> value_{0};
 };
-
-/// Folds the calling thread's counter cells into their shared counters.
-/// Installed as the TaskPool thread-quiesce hook by the obs library; safe
-/// (and cheap) to call from any thread at any time.
-void FlushThreadMetricCells();
 
 /// A value distribution backed by a log-linear Histogram: count / sum /
 /// min / max plus bounded-error quantiles (p50/p90/p99/...; see
 /// histogram.h for the error bound). Thread-safe; Record() is a handful
-/// of relaxed atomic operations, RecordCell() lands in a per-thread cell
-/// for hot paths under the task pool (same fold discipline as
-/// Counter::IncrementCell).
+/// of relaxed atomic operations.
 class Distribution {
  public:
   void Record(uint64_t v) { hist_.Record(v); }
-  void RecordCell(uint64_t v) { hist_.RecordCell(v); }
 
   uint64_t count() const { return hist_.count(); }
   uint64_t sum() const { return hist_.sum(); }

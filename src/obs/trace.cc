@@ -21,8 +21,7 @@ thread_local uint64_t t_current_span = 0;
 
 std::atomic<uint64_t> g_next_span_id{1};
 
-// Install the span-context hooks as soon as the obs library is linked,
-// mirroring the metric-cell quiesce hook in metrics.cc.
+// Install the span-context hooks as soon as the obs library is linked.
 [[maybe_unused]] const bool g_context_hooks_installed = [] {
   SetTaskContextHooks(&CaptureSpanContext, &SwapSpanContext);
   return true;

@@ -659,14 +659,24 @@ TEST_F(ChaseTest, UcqContainmentIsCountedTimedAndProfiled) {
       MetricsRegistry::Default().GetCounter("containment.checks");
   Distribution* check_us =
       MetricsRegistry::Default().GetDistribution("containment.check_us");
+  Counter* prune_checks =
+      MetricsRegistry::Default().GetCounter("containment.prune.checks");
+  Counter* pruned = MetricsRegistry::Default().GetCounter(
+      "containment.prune.constraints_pruned");
   const uint64_t checks_before = checks->value();
   const uint64_t samples_before = check_us->count();
   const uint64_t records_before =
       QueryProfiler::Default().TakeSnapshot().checks;
+  const uint64_t prune_checks_before = prune_checks->value();
+  const uint64_t pruned_before = pruned->value();
 
   ConstraintSet cs;
   cs.tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
                        std::vector<Atom>{Atom(s_, {y_, x_})});
+  // U feeds no goal relation, so the relevance closure prunes this TGD.
+  RelationId u = *universe_.AddRelation("U", 1);
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
+                       std::vector<Atom>{Atom(u, {x_})});
   UnionQuery q({ConjunctiveQuery::Boolean({Atom(r_, {a_, b_})})});
   UnionQuery q_prime({ConjunctiveQuery::Boolean({Atom(t_, {a_})}),
                       ConjunctiveQuery::Boolean({Atom(s_, {b_, a_})})});
@@ -676,6 +686,8 @@ TEST_F(ChaseTest, UcqContainmentIsCountedTimedAndProfiled) {
   EXPECT_EQ(check_us->count(), samples_before + 1);
   EXPECT_EQ(QueryProfiler::Default().TakeSnapshot().checks,
             records_before + 1);
+  EXPECT_EQ(prune_checks->value(), prune_checks_before + 1);
+  EXPECT_EQ(pruned->value(), pruned_before + 1);
 }
 
 TEST_F(ChaseTest, JohnsonKlugBoundPositive) {

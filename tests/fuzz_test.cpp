@@ -3,6 +3,8 @@
 // deliberately injected simplification bug, and the individual mutation /
 // shrinking operators.
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -123,6 +125,38 @@ TEST(FuzzLoopTest, InjectedBugIsCaughtAndShrunk) {
     ASSERT_TRUE(replay.ok()) << replay.status().ToString();
     EXPECT_TRUE(replay->Has("simplification-differential")) << f.shrunk;
   }
+}
+
+TEST(FuzzLoopTest, ReprosLandInAMissingNestedOutDir) {
+  // The loop creates a missing out_dir, nested levels included, instead of
+  // dropping the repro files; a path that cannot be created leaves
+  // repro_path empty.
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "fuzz_repro_out_dir";
+  std::filesystem::remove_all(root);
+  FuzzOptions options;
+  options.seed = 1;
+  options.iters = 30;
+  options.shrink = false;
+  options.checkers.inject_simplification_bug = true;
+  options.out_dir = (root / "missing" / "nested").string();
+  FuzzReport report = RunFuzzer(options);
+  ASSERT_FALSE(report.findings.empty());
+  for (const FuzzFinding& f : report.findings) {
+    EXPECT_EQ(f.repro_path, ReproFilePath(options.out_dir, f));
+    EXPECT_TRUE(std::filesystem::is_regular_file(f.repro_path))
+        << f.repro_path;
+  }
+
+  const std::filesystem::path blocker = root / "blocker";
+  std::ofstream(blocker).put('x');
+  options.out_dir = (blocker / "nested").string();
+  report = RunFuzzer(options);
+  ASSERT_FALSE(report.findings.empty());
+  for (const FuzzFinding& f : report.findings) {
+    EXPECT_TRUE(f.repro_path.empty()) << f.repro_path;
+  }
+  std::filesystem::remove_all(root);
 }
 
 TEST(FuzzLoopTest, InjectedPartialBugIsCaughtAndShrunk) {

@@ -251,7 +251,7 @@ TEST(TraceTest, FileSinkReportsUnwritablePath) {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram: bucket geometry, quantile error bound, merge, reset, cells.
+// Histogram: bucket geometry, quantile error bound, merge, reset, races.
 // ---------------------------------------------------------------------------
 
 TEST(HistogramTest, BucketGeometryRoundTrips) {
@@ -395,10 +395,10 @@ TEST(HistogramTest, MergeSnapshotIntoHistogram) {
   EXPECT_EQ(ha.max(), 500000u);
 }
 
-TEST(HistogramTest, ResetZeroesSharedStateAndCells) {
+TEST(HistogramTest, ResetZeroesAllState) {
   Histogram hist;
   hist.Record(100);
-  hist.RecordCell(7);  // lands in this thread's private cell
+  hist.Record(7);
   EXPECT_EQ(hist.count(), 2u);
   hist.Reset();
   EXPECT_EQ(hist.count(), 0u);
@@ -411,13 +411,13 @@ TEST(HistogramTest, ResetZeroesSharedStateAndCells) {
   EXPECT_EQ(hist.min(), 5u);
 }
 
-TEST(HistogramTest, PerThreadCellsFoldExactly) {
-  // The same multiset recorded through per-thread cells from racing
-  // threads must produce bit-identical aggregates to a serial Record()
-  // loop: cell folding loses nothing.
+TEST(HistogramTest, RacingThreadsRecordExactly) {
+  // The same multiset recorded from racing threads must produce
+  // bit-identical aggregates to a serial Record() loop: concurrent relaxed
+  // adds lose nothing.
   constexpr int kThreads = 4;
   constexpr uint64_t kPerThread = 20000;
-  Histogram cells;
+  Histogram racing;
   Histogram reference;
   for (int t = 0; t < kThreads; ++t) {
     for (uint64_t i = 0; i < kPerThread; ++i) {
@@ -426,15 +426,14 @@ TEST(HistogramTest, PerThreadCellsFoldExactly) {
   }
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cells] {
+    threads.emplace_back([&racing] {
       for (uint64_t i = 0; i < kPerThread; ++i) {
-        cells.RecordCell(i * 2654435761u % 1000003 + 1);
+        racing.Record(i * 2654435761u % 1000003 + 1);
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  // Reads fold live cells, so no explicit flush is needed.
-  ExpectSnapshotsEqual(cells.TakeSnapshot(), reference.TakeSnapshot());
+  ExpectSnapshotsEqual(racing.TakeSnapshot(), reference.TakeSnapshot());
 }
 
 // ---------------------------------------------------------------------------

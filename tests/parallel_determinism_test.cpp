@@ -1,6 +1,7 @@
 // Property test for the parallel determinism contract
 // (docs/PERFORMANCE.md): at a fixed seed, the fuzz driver and the oracle
 // validators produce identical results at any job count.
+#include <map>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "fuzz/fuzzer.h"
 #include "gtest/gtest.h"
 #include "obs/histogram.h"
+#include "obs/metrics.h"
 #include "parser/parser.h"
 #include "runtime/oracle.h"
 
@@ -106,11 +108,11 @@ fact R("c")
   EXPECT_EQ(serial.failure, parallel.failure);
 }
 
-TEST(ParallelDeterminismTest, HistogramCellsExactUnderParallelForHammer) {
+TEST(ParallelDeterminismTest, HistogramExactUnderParallelForHammer) {
   // The histogram aggregates feeding the profile.* quantiles must be
-  // independent of the job count: recording the same multiset through
-  // per-thread cells under a contended ParallelFor yields bit-identical
-  // buckets/count/sum/min/max to the serial Record() loop.
+  // independent of the job count: recording the same multiset under a
+  // contended ParallelFor yields bit-identical buckets/count/sum/min/max
+  // to the serial Record() loop.
   constexpr size_t kN = 50000;
   auto value = [](size_t i) {
     return static_cast<uint64_t>(i) * 2654435761u % 1000003 + 1;
@@ -122,12 +124,10 @@ TEST(ParallelDeterminismTest, HistogramCellsExactUnderParallelForHammer) {
   for (size_t jobs : {size_t{1}, size_t{8}}) {
     Histogram hammered;
     Status status = ParallelFor(kN, jobs, [&](size_t i) {
-      hammered.RecordCell(value(i));
+      hammered.Record(value(i));
       return Status::Ok();
     });
     ASSERT_TRUE(status.ok()) << status.ToString();
-    // ParallelFor quiesces its workers (folding live cells), and reads
-    // fold any remaining cells anyway — the aggregates must be exact.
     HistogramSnapshot got = hammered.TakeSnapshot();
     HistogramSnapshot want = reference.TakeSnapshot();
     EXPECT_EQ(got.count, want.count) << "jobs=" << jobs;
@@ -137,6 +137,44 @@ TEST(ParallelDeterminismTest, HistogramCellsExactUnderParallelForHammer) {
     EXPECT_EQ(got.buckets, want.buckets) << "jobs=" << jobs;
     EXPECT_EQ(got.Quantile(0.999), want.Quantile(0.999)) << "jobs=" << jobs;
   }
+}
+
+// The chase.* and containment.* counters a fuzz pass adds to the default
+// registry, by name.
+std::map<std::string, uint64_t> EngineCounterDeltas(
+    const FuzzOptions& options) {
+  auto engine_counters = [] {
+    std::map<std::string, uint64_t> out;
+    for (const auto& [name, value] :
+         MetricsRegistry::Default().CounterValues()) {
+      if (name.rfind("chase.", 0) == 0 ||
+          name.rfind("containment.", 0) == 0) {
+        out[name] = value;
+      }
+    }
+    return out;
+  };
+  std::map<std::string, uint64_t> before = engine_counters();
+  RunFuzzer(options);
+  std::map<std::string, uint64_t> deltas = engine_counters();
+  for (auto& [name, value] : deltas) value -= before[name];
+  return deltas;
+}
+
+TEST(ParallelDeterminismTest, ChaseCountersIdenticalAcrossJobCounts) {
+  // Every engine counter is a shared relaxed atomic, so the counts a pass
+  // leaves behind must not depend on how its cases were spread over
+  // worker threads.
+  FuzzOptions serial = BaseOptions(/*seed=*/11, /*iters=*/40);
+  serial.jobs = 1;
+  FuzzOptions parallel = serial;
+  parallel.jobs = 8;
+
+  std::map<std::string, uint64_t> a = EngineCounterDeltas(serial);
+  std::map<std::string, uint64_t> b = EngineCounterDeltas(parallel);
+  EXPECT_GT(a["chase.rounds"], 0u);
+  EXPECT_GT(a["containment.checks"], 0u);
+  EXPECT_EQ(a, b);
 }
 
 }  // namespace

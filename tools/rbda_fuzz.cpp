@@ -308,9 +308,13 @@ int RunLoop(const FuzzCli& cli) {
         FuzzFamilyName(f.family), f.checker.c_str(), f.detail.c_str());
     if (!f.repro_path.empty()) {
       std::printf("  repro written to %s\n", f.repro_path.c_str());
-    } else {
-      std::printf("  minimized repro:\n%s", f.shrunk.c_str());
+      continue;
     }
+    if (!cli.fuzz.out_dir.empty()) {
+      std::fprintf(stderr, "cannot write repro to %s\n",
+                   ReproFilePath(cli.fuzz.out_dir, f).c_str());
+    }
+    std::printf("  minimized repro:\n%s", f.shrunk.c_str());
   }
   return report.findings.empty() ? 0 : 1;
 }
