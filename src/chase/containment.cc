@@ -63,12 +63,6 @@ const ContainmentMetrics& Metrics() {
   return m;
 }
 
-std::string GoalRelationName(const std::vector<Atom>& goal,
-                             const Universe* universe) {
-  if (goal.empty() || universe == nullptr) return "";
-  return universe->RelationName(goal[0].relation);
-}
-
 const char* VerdictName(ContainmentVerdict v) {
   switch (v) {
     case ContainmentVerdict::kContained:
@@ -81,285 +75,126 @@ const char* VerdictName(ContainmentVerdict v) {
   return "?";
 }
 
-}  // namespace
-
-ContainmentOutcome CheckContainment(
-    const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime,
-    const ConstraintSet& sigma, Universe* universe,
-    const ChaseOptions& options,
-    const std::vector<CardinalityRule>& cardinality_rules) {
-  return CheckContainmentFrom(q.CanonicalDatabase(), q_prime.atoms(), sigma,
-                              universe, options, cardinality_rules);
-}
-
-ContainmentOutcome CheckContainmentFrom(
-    const Instance& start, const std::vector<Atom>& goal,
-    const ConstraintSet& sigma, Universe* universe,
-    const ChaseOptions& options,
-    const std::vector<CardinalityRule>& cardinality_rules) {
+// The one tier sequence behind every front end (see the header): the
+// check holds when any of `goals` follows from `start` under the TGDs,
+// FDs and cardinality rules. `engine_tier` decides what the refutation
+// tiers leave open; it receives the relevance bitset, null when pruning
+// is off. Only this function counts, times, traces and profiles a check.
+template <typename EngineTier>
+ContainmentOutcome RunTiers(const char* span_name, const Instance& start,
+                            const std::vector<std::vector<Atom>>& goals,
+                            const std::vector<Tgd>& tgds,
+                            const std::vector<Fd>& fds,
+                            const std::vector<CardinalityRule>& rules,
+                            Universe* universe, const ChaseOptions& options,
+                            const EngineTier& engine_tier) {
   Metrics().checks->Increment();
   ScopedTimer timer(Metrics().check_us);
-  TraceSpan span("containment.check");
+  TraceSpan span(span_name);
 
-  // Goal-directed mode (chase/relevance.h): restrict chase firing to the
-  // constraints backward-reachable from the goal, and try the signature
-  // prefilter before chasing at all. The prefilter's kNotContained is only
-  // sound when no FD can conflict — a conflict would make the containment
-  // vacuously kContained, which the signature abstraction cannot see.
+  // Tier 1: the relations backward-reachable from the goals.
   RelevanceResult relevance;
-  ChaseOptions chase_options = options;
-  uint64_t pruned_constraints = 0;
-  bool prefiltered = false;
+  const std::vector<bool>* relevant = nullptr;
   if (options.prune_to_goal) {
     relevance =
-        ComputeRelevance(goal, sigma, cardinality_rules,
+        ComputeRelevance(goals, tgds, fds, rules,
                          universe != nullptr ? universe->NumRelations() : 0,
                          options.inject_overprune_for_testing);
-    chase_options.relevant_relations = &relevance.relevant_relations;
-    pruned_constraints = relevance.PrunedConstraints();
+    relevant = &relevance.relevant_relations;
     Metrics().prune_checks->Increment();
-    if (pruned_constraints > 0) {
-      Metrics().prune_constraints->Increment(pruned_constraints);
+    if (relevance.PrunedConstraints() > 0) {
+      Metrics().prune_constraints->Increment(relevance.PrunedConstraints());
     }
-    prefiltered = sigma.fds.empty() &&
-                  !SignatureCanReachGoal(start, goal, sigma.tgds,
-                                         cardinality_rules,
-                                         relevance.relevant_relations);
   }
-  // Second-tier prefilter: when the signature abstraction is too coarse,
-  // try to exhibit a finite witness-reuse countermodel of the FULL Σ (no
-  // relevance pruning — airtight soundness for kNotContained even under
-  // an overprune injection). Only valid with no FDs, like the signature
-  // tier: an FD conflict would make the containment vacuously true.
-  bool countermodeled = false;
-  if (options.prune_to_goal && !prefiltered && sigma.fds.empty()) {
-    countermodeled = CounterModelRefutesGoals(start, {goal}, sigma.tgds,
-                                              cardinality_rules, universe)
-                         .has_value();
+
+  // Tiers 2 and 3 can only answer kNotContained, so they need Σ free of
+  // FDs: a conflict would make the containment vacuously true, which
+  // neither sees. The signature prefilter abstracts the relevance-enabled
+  // constraints to relation names; the countermodel models the FULL set,
+  // which keeps its refutation sound even under an overprune injection.
+  const char* refuted_by = nullptr;
+  if (relevant != nullptr && fds.empty()) {
+    std::vector<bool> closure =
+        SignatureClosure(start, tgds, rules, *relevant);
+    if (std::none_of(goals.begin(), goals.end(),
+                     [&closure](const std::vector<Atom>& goal) {
+                       return GoalWithinSignature(goal, closure);
+                     })) {
+      refuted_by = "prefilter";
+      Metrics().prune_prefilter_hits->Increment();
+    } else if (CounterModelRefutesGoals(start, goals, tgds, rules, universe)
+                   .has_value()) {
+      refuted_by = "countermodel";
+      Metrics().prune_countermodel_hits->Increment();
+    }
   }
 
   ContainmentOutcome out;
-  if (prefiltered || countermodeled) {
-    if (prefiltered) {
-      Metrics().prune_prefilter_hits->Increment();
-    } else {
-      Metrics().prune_countermodel_hits->Increment();
-    }
+  if (refuted_by != nullptr) {
     out.verdict = ContainmentVerdict::kNotContained;
     out.chase.status = ChaseStatus::kCompleted;
     out.chase.instance = start;
   } else {
-    bool goal_reached = false;
-    out.chase = RunChaseUntil(start, sigma, goal, universe, &goal_reached,
-                              chase_options, cardinality_rules);
-    if (out.chase.status == ChaseStatus::kFdConflict) {
-      // No instance satisfies Q together with Σ, so the containment holds
-      // vacuously.
-      out.verdict = ContainmentVerdict::kContained;
-    } else if (goal_reached) {
-      out.verdict = ContainmentVerdict::kContained;
-    } else if (out.chase.status == ChaseStatus::kCompleted) {
-      out.verdict = ContainmentVerdict::kNotContained;
-    } else {
-      out.verdict = ContainmentVerdict::kUnknown;
-    }
+    out = engine_tier(relevant);
   }
+
   QueryProfiler::Default().RecordCheck(ContainmentCheckRecord{
-      "", GoalRelationName(goal, universe), timer.ElapsedMicros(),
-      out.chase.rounds, out.chase.instance.NumFacts(), out.chase.goal_checks,
-      pruned_constraints});
+      "",
+      goals.empty() || goals[0].empty() || universe == nullptr
+          ? ""
+          : universe->RelationName(goals[0][0].relation),
+      timer.ElapsedMicros(), out.chase.rounds, out.chase.instance.NumFacts(),
+      out.chase.goal_checks, relevance.PrunedConstraints()});
   if (span.active()) {
     span.AddStr("verdict", VerdictName(out.verdict));
     span.AddInt("rounds", static_cast<int64_t>(out.chase.rounds));
     span.AddInt("facts",
                 static_cast<int64_t>(out.chase.instance.NumFacts()));
     span.AddInt("pruned_constraints",
-                static_cast<int64_t>(pruned_constraints));
-    if (prefiltered) span.AddStr("prefilter", "hit");
-    if (countermodeled) span.AddStr("countermodel", "hit");
+                static_cast<int64_t>(relevance.PrunedConstraints()));
+    if (refuted_by != nullptr) span.AddStr(refuted_by, "hit");
   }
   return out;
 }
 
-ContainmentOutcome CheckUcqContainment(const UnionQuery& q,
-                                       const UnionQuery& q_prime,
-                                       const ConstraintSet& sigma,
-                                       Universe* universe,
-                                       const ChaseOptions& options) {
-  Metrics().checks->Increment();
-  ScopedTimer timer(Metrics().check_us);
-  TraceSpan span("containment.check.ucq");
-
-  std::vector<std::vector<Atom>> goals;
-  for (const ConjunctiveQuery& cq : q_prime.disjuncts()) {
-    goals.push_back(cq.atoms());
-  }
-  // One relevance closure covers every disjunct: relevance depends only on
-  // the goals and Σ, not on the start instance.
-  RelevanceResult relevance;
-  ChaseOptions chase_options = options;
-  uint64_t pruned_constraints = 0;
-  if (options.prune_to_goal) {
-    relevance =
-        ComputeRelevance(goals, sigma.tgds, sigma.fds, {},
-                         universe != nullptr ? universe->NumRelations() : 0,
-                         options.inject_overprune_for_testing);
-    chase_options.relevant_relations = &relevance.relevant_relations;
-    pruned_constraints = relevance.PrunedConstraints();
-    Metrics().prune_checks->Increment();
-    if (pruned_constraints > 0) {
-      Metrics().prune_constraints->Increment(pruned_constraints);
-    }
-  }
-
-  ContainmentOutcome overall;
-  overall.verdict = ContainmentVerdict::kContained;  // empty Q is contained
-  auto finish = [&]() {
-    QueryProfiler::Default().RecordCheck(ContainmentCheckRecord{
-        "", goals.empty() ? "" : GoalRelationName(goals[0], universe),
-        timer.ElapsedMicros(), overall.chase.rounds,
-        overall.chase.instance.NumFacts(), overall.chase.goal_checks,
-        pruned_constraints});
-    if (span.active()) {
-      span.AddStr("verdict", VerdictName(overall.verdict));
-      span.AddInt("disjuncts", static_cast<int64_t>(q.disjuncts().size()));
-      span.AddInt("rounds", static_cast<int64_t>(overall.chase.rounds));
-      span.AddInt("facts",
-                  static_cast<int64_t>(overall.chase.instance.NumFacts()));
-      span.AddInt("pruned_constraints",
-                  static_cast<int64_t>(pruned_constraints));
-    }
-    return std::move(overall);
-  };
-  for (const ConjunctiveQuery& cq : q.disjuncts()) {
-    Instance db = cq.CanonicalDatabase();
-    ContainmentVerdict verdict;
-    ChaseResult chase;
-    bool prefiltered = false;
-    if (options.prune_to_goal && sigma.fds.empty()) {
-      std::vector<bool> closure = SignatureClosure(
-          db, sigma.tgds, {}, relevance.relevant_relations);
-      prefiltered = true;
-      for (const std::vector<Atom>& g : goals) {
-        if (GoalWithinSignature(g, closure)) {
-          prefiltered = false;
-          break;
+// The tiers with the generic chase as the engine tier: chase `start`
+// until any goal holds.
+ContainmentOutcome CheckGeneric(const char* span_name, const Instance& start,
+                                const std::vector<std::vector<Atom>>& goals,
+                                const ConstraintSet& sigma, Universe* universe,
+                                const ChaseOptions& options,
+                                const std::vector<CardinalityRule>& rules) {
+  return RunTiers(
+      span_name, start, goals, sigma.tgds, sigma.fds, rules, universe,
+      options, [&](const std::vector<bool>* relevant) {
+        ChaseOptions chase_options = options;
+        chase_options.relevant_relations = relevant;
+        ContainmentOutcome out;
+        bool goal_reached = false;
+        out.chase = RunChaseUntilAny(start, sigma, goals, universe,
+                                     &goal_reached, chase_options, rules);
+        if (goal_reached || out.chase.status == ChaseStatus::kFdConflict) {
+          // On a conflict no instance satisfies Q together with Σ, so the
+          // containment holds vacuously.
+          out.verdict = ContainmentVerdict::kContained;
+        } else if (out.chase.status == ChaseStatus::kCompleted) {
+          out.verdict = ContainmentVerdict::kNotContained;
+        } else {
+          out.verdict = ContainmentVerdict::kUnknown;
         }
-      }
-    }
-    bool countermodeled = false;
-    if (options.prune_to_goal && !prefiltered && sigma.fds.empty()) {
-      // A countermodel must refute EVERY disjunct of q' to certify that
-      // this disjunct of q is a counterexample.
-      countermodeled =
-          CounterModelRefutesGoals(db, goals, sigma.tgds, {}, universe)
-              .has_value();
-    }
-    if (prefiltered || countermodeled) {
-      if (prefiltered) {
-        Metrics().prune_prefilter_hits->Increment();
-      } else {
-        Metrics().prune_countermodel_hits->Increment();
-      }
-      verdict = ContainmentVerdict::kNotContained;
-      chase.status = ChaseStatus::kCompleted;
-      chase.instance = std::move(db);
-    } else {
-      bool goal_reached = false;
-      chase = RunChaseUntilAny(db, sigma, goals, universe, &goal_reached,
-                               chase_options);
-      if (chase.status == ChaseStatus::kFdConflict || goal_reached) {
-        verdict = ContainmentVerdict::kContained;
-      } else if (chase.status == ChaseStatus::kCompleted) {
-        verdict = ContainmentVerdict::kNotContained;
-      } else {
-        verdict = ContainmentVerdict::kUnknown;
-      }
-    }
-    overall.chase = std::move(chase);
-    if (verdict == ContainmentVerdict::kNotContained) {
-      // A definite counterexample disjunct settles the whole containment.
-      overall.verdict = verdict;
-      return finish();
-    }
-    if (verdict == ContainmentVerdict::kUnknown) {
-      overall.verdict = ContainmentVerdict::kUnknown;
-    }
-  }
-  return finish();
+        return out;
+      });
 }
 
-uint64_t JohnsonKlugDepthBound(size_t goal_atoms, size_t sigma_bounded,
-                               size_t sigma_acyclic, size_t arity,
-                               size_t width) {
-  // Lemma E.6: the path between a match element and its image parent has
-  // length at most |Σ1| * m^(w+1); with an acyclic part Σ2 the path gains
-  // at most |Σ2| extra edges (Prop 5.6). A tight match of a query with k
-  // atoms therefore sits at depth at most k * (that bound). We use
-  // max(arity, 2) and max(goal_atoms, 1) so degenerate inputs keep a
-  // positive bound.
-  uint64_t m = std::max<uint64_t>(arity, 2);
-  uint64_t per_hop = 1;
-  for (size_t i = 0; i < width + 1; ++i) {
-    // Saturating power to avoid overflow on adversarial inputs.
-    if (per_hop > (1ULL << 40) / m) {
-      per_hop = 1ULL << 40;
-      break;
-    }
-    per_hop *= m;
-  }
-  uint64_t path = std::max<uint64_t>(sigma_bounded, 1) * per_hop +
-                  sigma_acyclic;
-  return std::max<uint64_t>(goal_atoms, 1) * path;
-}
-
-ContainmentOutcome CheckLinearContainment(const ConjunctiveQuery& q,
-                                          const ConjunctiveQuery& q_prime,
-                                          const std::vector<Tgd>& linear_tgds,
-                                          Universe* universe,
-                                          uint64_t max_depth,
-                                          uint64_t max_facts,
-                                          const ChaseOptions& options) {
-  return CheckLinearContainmentFrom(q.CanonicalDatabase(), q_prime.atoms(),
-                                    linear_tgds, universe, max_depth,
-                                    max_facts, options);
-}
-
-ContainmentOutcome CheckLinearContainmentFrom(
-    const Instance& start, const std::vector<Atom>& goal,
-    const std::vector<Tgd>& linear_tgds, Universe* universe,
-    uint64_t max_depth, uint64_t max_facts, const ChaseOptions& options) {
-  for (const Tgd& tgd : linear_tgds) {
-    RBDA_CHECK(tgd.IsLinear());
-  }
-
-  Metrics().checks->Increment();
-  Metrics().checks_linear->Increment();
-  ScopedTimer timer(Metrics().check_us);
-  TraceSpan span("containment.check.linear");
-
-  // Goal-directed mode: skip TGDs that cannot contribute to the goal (no
-  // FDs here, so the relevance seeds are the goal relations alone and the
-  // signature prefilter is always sound).
-  RelevanceResult relevance;
-  std::vector<bool> tgd_enabled;  // empty = fire everything
-  uint64_t pruned_constraints = 0;
-  if (options.prune_to_goal) {
-    relevance =
-        ComputeRelevance({goal}, linear_tgds, {}, {},
-                         universe != nullptr ? universe->NumRelations() : 0,
-                         options.inject_overprune_for_testing);
-    pruned_constraints = relevance.PrunedConstraints();
-    Metrics().prune_checks->Increment();
-    if (pruned_constraints > 0) {
-      Metrics().prune_constraints->Increment(pruned_constraints);
-    }
-    tgd_enabled.reserve(linear_tgds.size());
-    for (const Tgd& tgd : linear_tgds) {
-      tgd_enabled.push_back(TgdIsRelevant(tgd, relevance.relevant_relations));
-    }
-  }
-
+// The Johnson–Klug tier: a depth-bounded chase of `start` under the
+// relevance-enabled linear TGDs (all of them when `relevant` is null).
+ContainmentOutcome RunJohnsonKlug(const Instance& start,
+                                  const std::vector<Atom>& goal,
+                                  const std::vector<Tgd>& linear_tgds,
+                                  const std::vector<bool>* relevant,
+                                  Universe* universe, uint64_t max_depth,
+                                  uint64_t max_facts,
+                                  const ChaseOptions& options) {
   ContainmentOutcome out;
   Instance& inst = out.chase.instance;
 
@@ -400,18 +235,6 @@ ContainmentOutcome CheckLinearContainmentFrom(
 
   auto finish = [&](ContainmentVerdict verdict) {
     out.verdict = verdict;
-    Metrics().linear_depth->Record(out.depth_reached);
-    QueryProfiler::Default().RecordCheck(ContainmentCheckRecord{
-        "", GoalRelationName(goal, universe), timer.ElapsedMicros(),
-        out.chase.rounds, inst.NumFacts(), out.chase.goal_checks,
-        pruned_constraints});
-    if (span.active()) {
-      span.AddStr("verdict", VerdictName(verdict));
-      span.AddInt("depth", static_cast<int64_t>(out.depth_reached));
-      span.AddInt("facts", static_cast<int64_t>(inst.NumFacts()));
-      span.AddInt("pruned_constraints",
-                  static_cast<int64_t>(pruned_constraints));
-    }
     return std::move(out);
   };
 
@@ -421,32 +244,8 @@ ContainmentOutcome CheckLinearContainmentFrom(
     return finish(ContainmentVerdict::kUnknown);
   }
 
-  if (options.prune_to_goal &&
-      !SignatureCanReachGoal(inst, goal, linear_tgds, {},
-                             relevance.relevant_relations)) {
-    // The goal's relations are not even signature-reachable: no depth of
-    // chasing can produce a match, and with no FDs the (possibly
-    // unbounded) full chase is a counter-model.
-    Metrics().prune_prefilter_hits->Increment();
-    out.chase.status = ChaseStatus::kCompleted;
-    if (span.active()) span.AddStr("prefilter", "hit");
-    return finish(ContainmentVerdict::kNotContained);
-  }
-
   if (goal_holds(nullptr)) {
     return finish(ContainmentVerdict::kContained);
-  }
-
-  // Second-tier prefilter: a finite witness-reuse countermodel refutes
-  // the goal without descending the (possibly exponential) chase tree.
-  // Linear TGDs have no FDs, so the countermodel is always sound here.
-  if (options.prune_to_goal &&
-      CounterModelRefutesGoals(inst, {goal}, linear_tgds, {}, universe)
-          .has_value()) {
-    Metrics().prune_countermodel_hits->Increment();
-    out.chase.status = ChaseStatus::kCompleted;
-    if (span.active()) span.AddStr("countermodel", "hit");
-    return finish(ContainmentVerdict::kNotContained);
   }
 
   // The trigger plan: each enabled TGD compiled once, indexed by its body
@@ -454,9 +253,9 @@ ContainmentOutcome CheckLinearContainmentFrom(
   std::vector<CompiledTgd> compiled;
   std::vector<std::vector<uint32_t>> by_relation;
   uint32_t num_slots = 0;
-  for (size_t ti = 0; ti < linear_tgds.size(); ++ti) {
-    if (!tgd_enabled.empty() && !tgd_enabled[ti]) continue;  // pruned
-    const CompiledTgd& c = compiled.emplace_back(linear_tgds[ti]);
+  for (const Tgd& tgd : linear_tgds) {
+    if (relevant != nullptr && !TgdIsRelevant(tgd, *relevant)) continue;
+    const CompiledTgd& c = compiled.emplace_back(tgd);
     if (c.body_relation() >= by_relation.size()) {
       by_relation.resize(c.body_relation() + 1);
     }
@@ -524,6 +323,106 @@ ContainmentOutcome CheckLinearContainmentFrom(
     Metrics().chase_exhausted_rounds->Increment();
   }
   return finish(ContainmentVerdict::kNotContained);
+}
+
+}  // namespace
+
+ContainmentOutcome CheckContainment(
+    const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime,
+    const ConstraintSet& sigma, Universe* universe,
+    const ChaseOptions& options,
+    const std::vector<CardinalityRule>& cardinality_rules) {
+  return CheckContainmentFrom(q.CanonicalDatabase(), q_prime.atoms(), sigma,
+                              universe, options, cardinality_rules);
+}
+
+ContainmentOutcome CheckContainmentFrom(
+    const Instance& start, const std::vector<Atom>& goal,
+    const ConstraintSet& sigma, Universe* universe,
+    const ChaseOptions& options,
+    const std::vector<CardinalityRule>& cardinality_rules) {
+  return CheckGeneric("containment.check", start, {goal}, sigma, universe,
+                      options, cardinality_rules);
+}
+
+ContainmentOutcome CheckUcqContainment(const UnionQuery& q,
+                                       const UnionQuery& q_prime,
+                                       const ConstraintSet& sigma,
+                                       Universe* universe,
+                                       const ChaseOptions& options) {
+  std::vector<std::vector<Atom>> goals;
+  for (const ConjunctiveQuery& cq : q_prime.disjuncts()) {
+    goals.push_back(cq.atoms());
+  }
+  // One check per disjunct of Q, any disjunct of Q' satisfying it.
+  ContainmentOutcome overall;
+  overall.verdict = ContainmentVerdict::kContained;  // empty Q is contained
+  for (const ConjunctiveQuery& cq : q.disjuncts()) {
+    ContainmentOutcome one =
+        CheckGeneric("containment.check.ucq", cq.CanonicalDatabase(), goals,
+                     sigma, universe, options, {});
+    // A definite counterexample disjunct settles the whole containment.
+    if (one.verdict == ContainmentVerdict::kNotContained) return one;
+    if (one.verdict == ContainmentVerdict::kUnknown) {
+      overall.verdict = ContainmentVerdict::kUnknown;
+    }
+    overall.chase = std::move(one.chase);
+  }
+  return overall;
+}
+
+uint64_t JohnsonKlugDepthBound(size_t goal_atoms, size_t sigma_bounded,
+                               size_t sigma_acyclic, size_t arity,
+                               size_t width) {
+  // Lemma E.6: the path between a match element and its image parent has
+  // length at most |Σ1| * m^(w+1); with an acyclic part Σ2 the path gains
+  // at most |Σ2| extra edges (Prop 5.6). A tight match of a query with k
+  // atoms therefore sits at depth at most k * (that bound). We use
+  // max(arity, 2) and max(goal_atoms, 1) so degenerate inputs keep a
+  // positive bound.
+  uint64_t m = std::max<uint64_t>(arity, 2);
+  uint64_t per_hop = 1;
+  for (size_t i = 0; i < width + 1; ++i) {
+    // Saturating power to avoid overflow on adversarial inputs.
+    if (per_hop > (1ULL << 40) / m) {
+      per_hop = 1ULL << 40;
+      break;
+    }
+    per_hop *= m;
+  }
+  uint64_t path = std::max<uint64_t>(sigma_bounded, 1) * per_hop +
+                  sigma_acyclic;
+  return std::max<uint64_t>(goal_atoms, 1) * path;
+}
+
+ContainmentOutcome CheckLinearContainment(const ConjunctiveQuery& q,
+                                          const ConjunctiveQuery& q_prime,
+                                          const std::vector<Tgd>& linear_tgds,
+                                          Universe* universe,
+                                          uint64_t max_depth,
+                                          uint64_t max_facts,
+                                          const ChaseOptions& options) {
+  return CheckLinearContainmentFrom(q.CanonicalDatabase(), q_prime.atoms(),
+                                    linear_tgds, universe, max_depth,
+                                    max_facts, options);
+}
+
+ContainmentOutcome CheckLinearContainmentFrom(
+    const Instance& start, const std::vector<Atom>& goal,
+    const std::vector<Tgd>& linear_tgds, Universe* universe,
+    uint64_t max_depth, uint64_t max_facts, const ChaseOptions& options) {
+  for (const Tgd& tgd : linear_tgds) {
+    RBDA_CHECK(tgd.IsLinear());
+  }
+  Metrics().checks_linear->Increment();
+  ContainmentOutcome out = RunTiers(
+      "containment.check.linear", start, {goal}, linear_tgds, {}, {},
+      universe, options, [&](const std::vector<bool>* relevant) {
+        return RunJohnsonKlug(start, goal, linear_tgds, relevant, universe,
+                              max_depth, max_facts, options);
+      });
+  Metrics().linear_depth->Record(out.depth_reached);
+  return out;
 }
 
 // A no-op kept for perfbench's two callers (see the header).

@@ -31,20 +31,33 @@
 // round delta-checks only the unmatched components — so a never-matching
 // component is not re-joined with the matched ones at every depth.
 //
-// Both engines are goal-directed by default (ChaseOptions::prune_to_goal,
-// chase/relevance.h): constraints that cannot contribute to deriving the
-// goal — nor to any EGD — are skipped, and a relation-signature prefilter
-// answers kNotContained without chasing when the goal's relations are not
-// even signature-reachable from the start instance. Pruned and unpruned
-// runs agree on every definite verdict (the pruned run may be MORE
-// definite where the full chase exhausts its budget). Observe via
-// containment.prune.{checks,constraints_pruned,prefilter_hits}; disable
-// via --prune=off/RBDA_PRUNE.
+// Every front end — CheckContainment[From], CheckUcqContainment (one
+// check per disjunct of Q) and CheckLinearContainment[From] — runs one
+// driver, which tries the tiers in this order and stops at the first
+// that decides:
+//  1. Relevance closure (chase/relevance.h): the relations backward-
+//     reachable from the goals. The engine tier skips every constraint
+//     that cannot contribute to a goal nor to any EGD.
+//  2. Signature prefilter: kNotContained when no goal's relations are
+//     even signature-reachable from the start instance.
+//  3. Witness-reuse countermodel: kNotContained when a finite model of
+//     the full constraint set extending the start refutes every goal.
+//     It declines at once when a goal already holds in the start.
+//  4. The engine tier: the generic chase, or the Johnson–Klug depth loop.
+// Tiers 1–3 run only in goal-directed mode (ChaseOptions::prune_to_goal,
+// the default; disable via --prune=off/RBDA_PRUNE), and tiers 2–3 only
+// when Σ has no FDs: a conflict would make the containment vacuously
+// true, which neither sees. Pruned and unpruned runs agree on every
+// definite verdict (the pruned run may be MORE definite where the full
+// chase exhausts its budget). Observe via containment.prune.{checks,
+// constraints_pruned,prefilter_hits,countermodel_hits}.
 //
-// All three front ends count into containment.checks and
-// containment.check_us, open a span (containment.check,
-// containment.check.linear, containment.check.ucq) and leave one
-// QueryProfiler record per call.
+// The driver alone counts a check into containment.checks and
+// containment.check_us, opens its span (containment.check,
+// containment.check.linear, containment.check.ucq) and leaves one
+// QueryProfiler record. Every span carries verdict, rounds, facts and
+// pruned_constraints, plus prefilter or countermodel = "hit" when that
+// tier decided the check.
 #ifndef RBDA_CHASE_CONTAINMENT_H_
 #define RBDA_CHASE_CONTAINMENT_H_
 
@@ -73,7 +86,8 @@ ContainmentOutcome CheckContainment(
     const std::vector<CardinalityRule>& cardinality_rules = {});
 
 /// UCQ containment: Q ⊆_Σ Q' for unions of Boolean CQs. Q is contained iff
-/// every disjunct of Q entails some disjunct of Q' under Σ.
+/// every disjunct of Q entails some disjunct of Q' under Σ: one check per
+/// disjunct of Q, and the first kNotContained answers at once.
 ContainmentOutcome CheckUcqContainment(const UnionQuery& q,
                                        const UnionQuery& q_prime,
                                        const ConstraintSet& sigma,

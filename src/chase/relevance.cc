@@ -91,15 +91,6 @@ RelevanceResult ComputeRelevance(const std::vector<std::vector<Atom>>& goals,
   return out;
 }
 
-RelevanceResult ComputeRelevance(const std::vector<Atom>& goal,
-                                 const ConstraintSet& sigma,
-                                 const std::vector<CardinalityRule>& rules,
-                                 size_t num_relations,
-                                 bool inject_overprune_for_testing) {
-  return ComputeRelevance({goal}, sigma.tgds, sigma.fds, rules, num_relations,
-                          inject_overprune_for_testing);
-}
-
 std::vector<bool> SignatureClosure(const Instance& start,
                                    const std::vector<Tgd>& tgds,
                                    const std::vector<CardinalityRule>& rules,
@@ -153,20 +144,16 @@ bool GoalWithinSignature(const std::vector<Atom>& goal,
   return true;
 }
 
-bool SignatureCanReachGoal(const Instance& start,
-                           const std::vector<Atom>& goal,
-                           const std::vector<Tgd>& tgds,
-                           const std::vector<CardinalityRule>& rules,
-                           const std::vector<bool>& relevant) {
-  return GoalWithinSignature(goal,
-                             SignatureClosure(start, tgds, rules, relevant));
-}
-
 std::optional<Instance> CounterModelRefutesGoals(
     const Instance& start, const std::vector<std::vector<Atom>>& goals,
     const std::vector<Tgd>& tgds, const std::vector<CardinalityRule>& rules,
     Universe* universe, size_t max_facts, size_t max_rounds) {
   if (universe == nullptr) return std::nullopt;
+  // A model containing `start` cannot refute a goal that already holds in
+  // `start`: decline before minting any witness.
+  for (const std::vector<Atom>& goal : goals) {
+    if (FindHomomorphism(goal, start).has_value()) return std::nullopt;
+  }
 
   Instance m;
   bool overflow = false;

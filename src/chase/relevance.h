@@ -87,13 +87,6 @@ RelevanceResult ComputeRelevance(const std::vector<std::vector<Atom>>& goals,
                                  size_t num_relations,
                                  bool inject_overprune_for_testing = false);
 
-/// Single-goal convenience over a ConstraintSet.
-RelevanceResult ComputeRelevance(const std::vector<Atom>& goal,
-                                 const ConstraintSet& sigma,
-                                 const std::vector<CardinalityRule>& rules,
-                                 size_t num_relations,
-                                 bool inject_overprune_for_testing = false);
-
 /// Forward signature closure: the relations that can ever hold a fact in
 /// any chase of `start` under the relevance-enabled subset of the
 /// constraints (a TGD whose body relations are all populated populates
@@ -106,21 +99,15 @@ std::vector<bool> SignatureClosure(const Instance& start,
                                    const std::vector<CardinalityRule>& rules,
                                    const std::vector<bool>& relevant);
 
-/// True iff every goal atom's relation is in `closure`.
+/// True iff every goal atom's relation is in `closure`. The signature
+/// prefilter: a goal outside the closure of `start` holds in NO chase of
+/// `start` under the relevance-enabled constraints, so the containment
+/// driver answers kNotContained without chasing when every goal is
+/// outside. CAUTION: only sound when no FD can conflict (sigma.fds empty)
+/// — an FD conflict makes containment vacuously kContained, which this
+/// abstraction cannot see.
 bool GoalWithinSignature(const std::vector<Atom>& goal,
                          const std::vector<bool>& closure);
-
-/// Necessary-condition prefilter: false means NO chase of `start` under
-/// the relevance-enabled constraints can ever satisfy the goal, so the
-/// containment engines may answer kNotContained without chasing.
-/// CAUTION: only sound when no FD can conflict (sigma.fds empty) — an FD
-/// conflict makes containment vacuously kContained, which this abstraction
-/// cannot see. The linear engine has no FDs, so it always applies there.
-bool SignatureCanReachGoal(const Instance& start,
-                           const std::vector<Atom>& goal,
-                           const std::vector<Tgd>& tgds,
-                           const std::vector<CardinalityRule>& rules,
-                           const std::vector<bool>& relevant);
 
 /// Witness-reuse countermodel: saturates a small FINITE model of
 /// (tgds ∪ rules) extending `start`, giving every TGD ONE fixed witness
@@ -129,13 +116,14 @@ bool SignatureCanReachGoal(const Instance& start,
 /// into a structure whose term count is bounded by the constraint set,
 /// not by the chase depth. Returns the saturated model iff saturation
 /// reached a fixpoint within `max_facts`/`max_rounds` AND none of the
-/// `goals` has a homomorphism into it; std::nullopt otherwise. The model
-/// is the certificate for kNotContained: a model of the full constraint
-/// set containing the canonical database in which every goal fails,
-/// whatever the real chase would do (ValidateCountermodel in
-/// fuzz/checkers.h re-checks it without chase code). std::nullopt says
-/// nothing: the model may admit spurious matches that the tree-shaped
-/// chase would not.
+/// `goals` has a homomorphism into it; std::nullopt otherwise, and at
+/// once, before minting any witness null, when some goal already holds in
+/// `start` (a model containing `start` cannot refute it). The model is
+/// the certificate for kNotContained: a model of the full constraint set
+/// containing the canonical database in which every goal fails, whatever
+/// the real chase would do (ValidateCountermodel in fuzz/checkers.h
+/// re-checks it without chase code). std::nullopt says nothing: the model
+/// may admit spurious matches that the tree-shaped chase would not.
 ///
 /// Every TGD runs on a compiled trigger plan (chase/trigger_plan.h) with
 /// its witness nulls held in the existential slots, minted once in TGD

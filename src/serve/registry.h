@@ -4,8 +4,7 @@
 // Entries hold the raw document text: decide/run workers re-parse it into
 // a private Universe per request (the rbda_cli batch-mode pattern —
 // Universe interning is not thread-safe, and a fresh parse gives
-// deterministic term ids, which is what lets the global containment cache
-// and the decision cache below hit across requests).
+// deterministic term ids).
 //
 // Each entry carries a CircuitBreaker (runtime/resilience.h) guarding the
 // engine: schemas whose decides keep failing stop consuming engine time

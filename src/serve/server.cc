@@ -613,9 +613,7 @@ std::string ServeServer::DoDecide(const ServeRequest& req) {
   metrics_->cache_misses->Increment();
 
   // Fresh Universe per request: interning is not thread-safe and a fresh
-  // parse keeps term ids deterministic, so the global containment cache
-  // hits across requests and across schemas (verdicts are
-  // isomorphism-invariant).
+  // parse keeps term ids deterministic.
   Universe universe;
   StatusOr<ParsedDocument> doc = ParseDocument(entry->text, &universe);
   if (!doc.ok()) {

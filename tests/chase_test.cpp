@@ -1,3 +1,4 @@
+#include <functional>
 #include <map>
 #include <string>
 
@@ -653,7 +654,8 @@ TEST_F(ChaseTest, LinearContainmentInfiniteChaseDecided) {
 }
 
 // The UCQ front end reports like the other two: one containment.checks
-// count, one containment.check_us sample and one profiler record a call.
+// count, one containment.check_us sample and one profiler record for each
+// disjunct of Q it checks (here, one).
 TEST_F(ChaseTest, UcqContainmentIsCountedTimedAndProfiled) {
   Counter* checks =
       MetricsRegistry::Default().GetCounter("containment.checks");
@@ -688,6 +690,122 @@ TEST_F(ChaseTest, UcqContainmentIsCountedTimedAndProfiled) {
             records_before + 1);
   EXPECT_EQ(prune_checks->value(), prune_checks_before + 1);
   EXPECT_EQ(pruned->value(), pruned_before + 1);
+}
+
+// Q is contained iff each disjunct of Q entails some disjunct of Q', so
+// the UCQ front end runs one check per disjunct of Q: two here.
+TEST_F(ChaseTest, UcqContainmentCountsOneCheckPerDisjunct) {
+  Counter* checks =
+      MetricsRegistry::Default().GetCounter("containment.checks");
+  const uint64_t checks_before = checks->value();
+  const uint64_t records_before =
+      QueryProfiler::Default().TakeSnapshot().checks;
+
+  ConstraintSet cs;
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
+                       std::vector<Atom>{Atom(s_, {y_, x_})});
+  UnionQuery q({ConjunctiveQuery::Boolean({Atom(r_, {a_, b_})}),
+                ConjunctiveQuery::Boolean({Atom(r_, {b_, c_})})});
+  UnionQuery q_prime({ConjunctiveQuery::Boolean({Atom(s_, {x_, y_})})});
+  EXPECT_EQ(CheckUcqContainment(q, q_prime, cs, &universe_).verdict,
+            ContainmentVerdict::kContained);
+  EXPECT_EQ(checks->value(), checks_before + 2);
+  EXPECT_EQ(QueryProfiler::Default().TakeSnapshot().checks,
+            records_before + 2);
+}
+
+// The generic, linear and UCQ front ends run the same tiers in the same
+// order. Each problem below is decided by the tier its row names: the
+// signature prefilter (T is not reachable), the witness-reuse
+// countermodel (the chase of the R/S cycle is infinite but never makes
+// S(x,x)), or the engine's own tier. Every call counts one check, one
+// pruned check and one profiler record, and moves at most the hit
+// counter of the tier that decided it.
+TEST_F(ChaseTest, FrontEndsShareOneTierSequence) {
+  enum class Tier { kPrefilter, kCountermodel, kEngine };
+  MetricsRegistry& registry = MetricsRegistry::Default();
+  Counter* checks = registry.GetCounter("containment.checks");
+  Counter* prune_checks = registry.GetCounter("containment.prune.checks");
+  Counter* prefilter_hits =
+      registry.GetCounter("containment.prune.prefilter_hits");
+  Counter* countermodel_hits =
+      registry.GetCounter("containment.prune.countermodel_hits");
+  auto expect_decided_by = [&](const std::string& label, Tier tier,
+                               ContainmentVerdict verdict,
+                               const std::function<ContainmentOutcome()>& run) {
+    SCOPED_TRACE(label);
+    const uint64_t checks_before = checks->value();
+    const uint64_t prune_before = prune_checks->value();
+    const uint64_t prefilter_before = prefilter_hits->value();
+    const uint64_t countermodel_before = countermodel_hits->value();
+    const uint64_t records_before =
+        QueryProfiler::Default().TakeSnapshot().checks;
+    EXPECT_EQ(run().verdict, verdict);
+    EXPECT_EQ(checks->value(), checks_before + 1);
+    EXPECT_EQ(prune_checks->value(), prune_before + 1);
+    EXPECT_EQ(prefilter_hits->value() - prefilter_before,
+              tier == Tier::kPrefilter ? 1u : 0u);
+    EXPECT_EQ(countermodel_hits->value() - countermodel_before,
+              tier == Tier::kCountermodel ? 1u : 0u);
+    EXPECT_EQ(QueryProfiler::Default().TakeSnapshot().checks,
+              records_before + 1);
+  };
+
+  auto tgd = [](const Atom& body, const Atom& head) {
+    return Tgd(std::vector<Atom>{body}, std::vector<Atom>{head});
+  };
+  ConstraintSet to_s;  // R(x,y) → ∃z S(y,z)
+  to_s.tgds.push_back(tgd(Atom(r_, {x_, y_}), Atom(s_, {y_, z_})));
+  ConstraintSet cycle = to_s;  // plus S(x,y) → ∃z R(y,z)
+  cycle.tgds.push_back(tgd(Atom(s_, {x_, y_}), Atom(r_, {y_, z_})));
+  ConstraintSet swap;  // R(x,y) → S(y,x)
+  swap.tgds.push_back(tgd(Atom(r_, {x_, y_}), Atom(s_, {y_, x_})));
+
+  struct Row {
+    std::string name;
+    Tier tier;
+    const ConstraintSet* sigma;
+    ConjunctiveQuery goal;
+    ContainmentVerdict verdict;
+  };
+  const std::vector<Row> rows = {
+      {"prefilter", Tier::kPrefilter, &to_s,
+       ConjunctiveQuery::Boolean({Atom(t_, {x_})}),
+       ContainmentVerdict::kNotContained},
+      {"countermodel", Tier::kCountermodel, &cycle,
+       ConjunctiveQuery::Boolean({Atom(s_, {x_, x_})}),
+       ContainmentVerdict::kNotContained},
+      {"engine", Tier::kEngine, &swap,
+       ConjunctiveQuery::Boolean({Atom(s_, {b_, a_})}),
+       ContainmentVerdict::kContained},
+  };
+  const ConjunctiveQuery q = ConjunctiveQuery::Boolean({Atom(r_, {a_, b_})});
+  for (const Row& row : rows) {
+    const ConstraintSet& sigma = *row.sigma;
+    expect_decided_by("generic " + row.name, row.tier, row.verdict, [&] {
+      return CheckContainment(q, row.goal, sigma, &universe_);
+    });
+    expect_decided_by("linear " + row.name, row.tier, row.verdict, [&] {
+      return CheckLinearContainment(
+          q, row.goal, sigma.tgds, &universe_,
+          JohnsonKlugDepthBound(1, sigma.tgds.size(), 0, 2, 1));
+    });
+    expect_decided_by("ucq " + row.name, row.tier, row.verdict, [&] {
+      return CheckUcqContainment(UnionQuery({q}), UnionQuery({row.goal}),
+                                 sigma, &universe_);
+    });
+  }
+
+  // With an FD in Σ neither refutation tier may run: a conflict would make
+  // the containment vacuously true. The chase decides the prefilter row.
+  ConstraintSet with_fd = to_s;
+  with_fd.fds.emplace_back(s_, std::vector<uint32_t>{0}, 1);
+  expect_decided_by("generic with an FD", Tier::kEngine,
+                    ContainmentVerdict::kNotContained, [&] {
+                      return CheckContainment(
+                          q, ConjunctiveQuery::Boolean({Atom(t_, {x_})}),
+                          with_fd, &universe_);
+                    });
 }
 
 TEST_F(ChaseTest, JohnsonKlugBoundPositive) {

@@ -52,16 +52,16 @@ TEST_F(RelevanceTest, TgdChainBackwardReachability) {
   cs.tgds.push_back(MakeTgd(r_, s_));
   cs.tgds.push_back(MakeTgd(s_, t_));
 
-  RelevanceResult all = ComputeRelevance({Atom(t_, {x_})}, cs, {},
-                                         NumRelations());
+  RelevanceResult all = ComputeRelevance({{Atom(t_, {x_})}}, cs.tgds,
+                                         cs.fds, {}, NumRelations());
   EXPECT_TRUE(RelationIsRelevant(r_, all.relevant_relations));
   EXPECT_TRUE(RelationIsRelevant(s_, all.relevant_relations));
   EXPECT_TRUE(RelationIsRelevant(t_, all.relevant_relations));
   EXPECT_EQ(all.relevant_tgds, 2u);
   EXPECT_EQ(all.PrunedConstraints(), 0u);
 
-  RelevanceResult mid = ComputeRelevance({Atom(s_, {x_, y_})}, cs, {},
-                                         NumRelations());
+  RelevanceResult mid = ComputeRelevance({{Atom(s_, {x_, y_})}}, cs.tgds,
+                                         cs.fds, {}, NumRelations());
   EXPECT_TRUE(RelationIsRelevant(r_, mid.relevant_relations));
   EXPECT_TRUE(RelationIsRelevant(s_, mid.relevant_relations));
   EXPECT_FALSE(RelationIsRelevant(t_, mid.relevant_relations));
@@ -79,8 +79,8 @@ TEST_F(RelevanceTest, DisconnectedComponentPrunedMultiHeadKept) {
       std::vector<Atom>{Atom(r_, {x_, y_})},
       std::vector<Atom>{Atom(t_, {y_}), Atom(u_, {x_, y_})});
 
-  RelevanceResult res = ComputeRelevance({Atom(t_, {x_})}, cs, {},
-                                         NumRelations());
+  RelevanceResult res = ComputeRelevance({{Atom(t_, {x_})}}, cs.tgds,
+                                         cs.fds, {}, NumRelations());
   EXPECT_TRUE(RelationIsRelevant(r_, res.relevant_relations));
   EXPECT_TRUE(TgdIsRelevant(cs.tgds[1], res.relevant_relations));
   EXPECT_FALSE(TgdIsRelevant(cs.tgds[0], res.relevant_relations));
@@ -95,8 +95,8 @@ TEST_F(RelevanceTest, FdRelationsSeedTheClosure) {
   cs.tgds.push_back(MakeTgd(r_, u_));  // feeds the FD relation, not the goal
   cs.fds.emplace_back(u_, std::vector<uint32_t>{0}, 1);
 
-  RelevanceResult res = ComputeRelevance({Atom(t_, {x_})}, cs, {},
-                                         NumRelations());
+  RelevanceResult res = ComputeRelevance({{Atom(t_, {x_})}}, cs.tgds,
+                                         cs.fds, {}, NumRelations());
   EXPECT_TRUE(RelationIsRelevant(u_, res.relevant_relations));
   EXPECT_TRUE(RelationIsRelevant(r_, res.relevant_relations));
   EXPECT_EQ(res.pruned_tgds, 0u);
@@ -113,15 +113,14 @@ TEST_F(RelevanceTest, CardinalityRuleBackwardReachability) {
   rule.accessible_rel = acc_;
   rule.bound = 3;
 
-  RelevanceResult hit = ComputeRelevance({Atom(t_, {x_})}, ConstraintSet{},
-                                         {rule}, NumRelations());
+  RelevanceResult hit =
+      ComputeRelevance({{Atom(t_, {x_})}}, {}, {}, {rule}, NumRelations());
   EXPECT_TRUE(RelationIsRelevant(r_, hit.relevant_relations));
   EXPECT_TRUE(RelationIsRelevant(acc_, hit.relevant_relations));
   EXPECT_EQ(hit.relevant_rules, 1u);
 
-  RelevanceResult miss = ComputeRelevance({Atom(s_, {x_, y_})},
-                                          ConstraintSet{}, {rule},
-                                          NumRelations());
+  RelevanceResult miss = ComputeRelevance({{Atom(s_, {x_, y_})}}, {}, {},
+                                          {rule}, NumRelations());
   EXPECT_FALSE(RelationIsRelevant(r_, miss.relevant_relations));
   EXPECT_EQ(miss.pruned_rules, 1u);
   EXPECT_EQ(miss.PrunedConstraints(), 1u);
@@ -138,13 +137,15 @@ TEST_F(RelevanceTest, SignatureClosurePropagatesThroughTgds) {
   Term a = universe_.Constant("a");
   Term b = universe_.Constant("b");
   start.AddFact(r_, {a, b});
-  EXPECT_TRUE(SignatureCanReachGoal(start, {Atom(t_, {x_})}, tgds, {},
-                                    rel.relevant_relations));
+  EXPECT_TRUE(GoalWithinSignature(
+      {Atom(t_, {x_})},
+      SignatureClosure(start, tgds, {}, rel.relevant_relations)));
 
   Instance only_u;
   only_u.AddFact(u_, {a, b});
-  EXPECT_FALSE(SignatureCanReachGoal(only_u, {Atom(t_, {x_})}, tgds, {},
-                                     rel.relevant_relations));
+  EXPECT_FALSE(GoalWithinSignature(
+      {Atom(t_, {x_})},
+      SignatureClosure(only_u, tgds, {}, rel.relevant_relations)));
 }
 
 // Regression (the kUniversityBounded Q2 soundness bug): a cardinality rule
@@ -166,19 +167,22 @@ TEST_F(RelevanceTest, EmptyInputRuleBootstrapsSignatureClosure) {
   Term a = universe_.Constant("a");
   Term b = universe_.Constant("b");
   start.AddFact(r_, {a, b});
-  EXPECT_TRUE(SignatureCanReachGoal(start, {Atom(t_, {x_})}, {}, {no_inputs},
-                                    rel.relevant_relations));
+  EXPECT_TRUE(GoalWithinSignature(
+      {Atom(t_, {x_})},
+      SignatureClosure(start, {}, {no_inputs}, rel.relevant_relations)));
 
   CardinalityRule with_inputs = no_inputs;
   with_inputs.input_positions = {0};
   RelevanceResult rel2 = ComputeRelevance(
       {{Atom(t_, {x_})}}, {}, {}, {with_inputs}, NumRelations());
-  EXPECT_FALSE(SignatureCanReachGoal(start, {Atom(t_, {x_})}, {},
-                                     {with_inputs}, rel2.relevant_relations));
+  EXPECT_FALSE(GoalWithinSignature(
+      {Atom(t_, {x_})},
+      SignatureClosure(start, {}, {with_inputs}, rel2.relevant_relations)));
 
   start.AddFact(acc_, {a});
-  EXPECT_TRUE(SignatureCanReachGoal(start, {Atom(t_, {x_})}, {},
-                                    {with_inputs}, rel2.relevant_relations));
+  EXPECT_TRUE(GoalWithinSignature(
+      {Atom(t_, {x_})},
+      SignatureClosure(start, {}, {with_inputs}, rel2.relevant_relations)));
 }
 
 // Goal atoms whose relation the start can never produce fall outside the
@@ -200,10 +204,10 @@ TEST_F(RelevanceTest, OverpruneInjectionDropsOneNonSeedRelation) {
   cs.tgds.push_back(MakeTgd(r_, s_));
   cs.tgds.push_back(MakeTgd(s_, t_));
 
-  RelevanceResult clean = ComputeRelevance({Atom(t_, {x_})}, cs, {},
-                                           NumRelations());
+  RelevanceResult clean = ComputeRelevance({{Atom(t_, {x_})}}, cs.tgds,
+                                           cs.fds, {}, NumRelations());
   RelevanceResult injected = ComputeRelevance(
-      {Atom(t_, {x_})}, cs, {}, NumRelations(),
+      {{Atom(t_, {x_})}}, cs.tgds, cs.fds, {}, NumRelations(),
       /*inject_overprune_for_testing=*/true);
 
   size_t clean_count = 0, injected_count = 0;
@@ -284,6 +288,24 @@ TEST_F(RelevanceTest, CounterModelBudgetExhaustionIsInconclusive) {
                                         &universe_, /*max_facts=*/1));
   EXPECT_TRUE(CounterModelRefutesGoals(start, {{Atom(t_, {x_})}}, tgds, {},
                                        &universe_));
+}
+
+// A goal that already holds in the start holds in every model extending
+// it, so the countermodel declines before minting a witness: with
+// R(x,y) → ∃z S(y,z) and the goal R(x,y), z's witness is never made.
+TEST_F(RelevanceTest, CounterModelDeclinesAGoalTheStartSatisfies) {
+  Term z = universe_.Variable("z");
+  std::vector<Tgd> tgds;
+  tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
+                    std::vector<Atom>{Atom(s_, {y_, z})});
+  Instance start;
+  start.AddFact(r_, {universe_.Constant("a"), universe_.Constant("b")});
+
+  const size_t nulls_before = universe_.NumNullsMinted();
+  EXPECT_FALSE(CounterModelRefutesGoals(start, {{Atom(r_, {x_, y_})}}, tgds,
+                                        {}, &universe_)
+                   .has_value());
+  EXPECT_EQ(universe_.NumNullsMinted(), nulls_before);
 }
 
 // Rounds are level-synchronous: a round matches bodies against the model

@@ -40,7 +40,7 @@ TEST(TaskPoolTest, StealsWorkAcrossWorkers) {
     pool.Submit([&ran, i] {
       volatile uint64_t sink = 0;
       for (int spin = 0; spin < (i % 4 == 0 ? 20000 : 10); ++spin) {
-        sink += spin;
+        sink = sink + spin;
       }
       ran.fetch_add(1);
     });
