@@ -10,8 +10,8 @@
 //  * Saturation — computes the derived truncated accessibility axioms
 //    ("if positions P of an R-fact are accessible, so is position j"),
 //    closing under the (ID) pullback, (Transitivity), and (Access) rules of
-//    Appendix E.3.1, for all P with |P| ≤ w (plus the masks needed by the
-//    initial instance).
+//    Appendix E.3.1, for all P with |P| ≤ w; closing any other P (the
+//    initial instance's masks) applies those axioms to it.
 //  * Expanded signature — relation R_P for each relation R and accessible-
 //    position mask P; an R_P-fact is an R-fact whose P-positions are known
 //    accessible.
@@ -31,50 +31,70 @@
 //  * Initial instance — CanonDB(Q) closed under the derived axioms seeded
 //    by the accessible constants, expanded into R_P facts, with direct
 //    transfers applied to the level-0 facts.
+//
+// TGD variables are rule-scoped, so every rule of one call draws its
+// variables from one pool (body positions first, then head positions), and
+// each R_P and R' is interned once per call.
 #ifndef RBDA_CORE_LINEARIZATION_H_
 #define RBDA_CORE_LINEARIZATION_H_
 
 #include <cstdint>
-#include <map>
-#include <set>
+#include <vector>
 
 #include "logic/conjunctive_query.h"
 #include "schema/service_schema.h"
 
 namespace rbda {
 
-/// Accessible-position sets as bitmasks (arity ≤ 32).
+/// Accessible-position sets as bitmasks. The linearizer refuses relations
+/// of arity above kMaxLinearizedArity, so every shift stays in range.
 using PosMask = uint32_t;
+inline constexpr uint32_t kMaxLinearizedArity = 31;
+
+/// The linearizer refuses a schema whose relations would need more
+/// position masks than this: Σ over relations R of C(arity(R), ≤ w) plus
+/// R's full mask, one R_P relation each. Saturation is quadratic in that
+/// count, so a wide ID otherwise runs for minutes.
+inline constexpr uint64_t kMaxTrackedMasks = 4096;
 
 /// Derived truncated accessibility axioms: Cl(R, P) = positions of R that
 /// become accessible once the positions of P are, under the schema's IDs
 /// and (non-result-bounded) methods.
 class TruncatedSaturation {
  public:
-  /// `ids` must all be IDs. `w` is the saturation breadth (normally the
-  /// maximum ID width). `extra_masks` adds masks beyond size w that the
-  /// caller needs closed (e.g. initial-instance masks).
+  /// `ids` must all be IDs over relations of arity at most
+  /// kMaxLinearizedArity. `w` is the saturation breadth (normally the
+  /// maximum ID width).
   TruncatedSaturation(const std::vector<Tgd>& ids,
                       const std::vector<AccessMethod>& methods,
-                      const Universe& universe, size_t w,
-                      const std::map<RelationId, std::set<PosMask>>&
-                          extra_masks = {});
+                      const Universe& universe, size_t w);
 
   /// Closure of an arbitrary position set of `relation` under the derived
   /// axioms and the (Access) rule.
   PosMask Closure(RelationId relation, PosMask start) const;
 
-  size_t width() const { return w_; }
+  /// The masks over `arity` positions with at most w bits set, plus the
+  /// full mask, ascending; computed once per arity.
+  const std::vector<PosMask>& SmallMasks(uint32_t arity);
 
  private:
-  void Saturate(const std::vector<Tgd>& ids, const Universe& universe);
-  PosMask Expand(RelationId relation, PosMask start) const;
+  // One tracked relation: Cl(R, P) for each small mask P.
+  struct Tracked {
+    RelationId relation = 0;
+    PosMask full = 0;
+    std::vector<PosMask> premises;  // ascending
+    std::vector<PosMask> closures;  // Cl(R, premises[i])
+    // Input masks of the non-result-bounded methods on R.
+    std::vector<PosMask> access_inputs;
+  };
 
-  // (relation, P) -> Cl(R, P), for tracked masks.
-  std::map<std::pair<RelationId, PosMask>, PosMask> cl_;
-  // Non-result-bounded methods per relation (input position masks).
-  std::map<RelationId, std::vector<PosMask>> access_inputs_;
-  std::map<RelationId, PosMask> full_mask_;
+  void Saturate(const std::vector<Tgd>& ids);
+  // The entry of a relation the constructor tracked.
+  Tracked& TrackedOf(RelationId relation);
+  PosMask Expand(const Tracked& tracked, PosMask start) const;
+
+  std::vector<Tracked> tracked_;  // ascending relation
+  std::vector<std::vector<PosMask>> small_masks_;  // by arity; empty = unset
   size_t w_;
 };
 

@@ -14,6 +14,19 @@ RelationId PrimedRelation(Universe* universe, RelationId relation) {
   return *id;
 }
 
+RelationId PrimedRelations::operator()(RelationId relation) {
+  if (relation >= ids_.size()) ids_.resize(relation + 1, kUnset);
+  if (ids_[relation] == kUnset) {
+    ids_[relation] = PrimedRelation(universe_, relation);
+  }
+  return ids_[relation];
+}
+
+std::vector<Term> RuleVariables::Take(size_t offset, uint32_t n) {
+  while (pool_.size() < offset + n) pool_.push_back(universe_->FreshVariable());
+  return std::vector<Term>(pool_.begin() + offset, pool_.begin() + offset + n);
+}
+
 namespace {
 
 RelationId AccessedRelation(Universe* universe, RelationId relation) {
@@ -23,34 +36,33 @@ RelationId AccessedRelation(Universe* universe, RelationId relation) {
   return *id;
 }
 
-std::vector<Atom> PrimeAtoms(Universe* universe,
+std::vector<Atom> PrimeAtoms(PrimedRelations* primed,
                              const std::vector<Atom>& atoms) {
   std::vector<Atom> out;
   out.reserve(atoms.size());
-  for (const Atom& a : atoms) {
-    out.emplace_back(PrimedRelation(universe, a.relation), a.args);
-  }
+  for (const Atom& a : atoms) out.emplace_back((*primed)(a.relation), a.args);
   return out;
 }
 
 }  // namespace
 
-ConjunctiveQuery PrimeQuery(Universe* universe, const ConjunctiveQuery& q) {
-  return ConjunctiveQuery(PrimeAtoms(universe, q.atoms()),
-                          q.free_variables());
+ConjunctiveQuery PrimeQuery(PrimedRelations* primed,
+                            const ConjunctiveQuery& q) {
+  return ConjunctiveQuery(PrimeAtoms(primed, q.atoms()), q.free_variables());
 }
 
-ConstraintSet PrimeConstraints(Universe* universe,
+ConstraintSet PrimeConstraints(PrimedRelations* primed,
                                const ConstraintSet& sigma) {
   ConstraintSet out;
+  out.tgds.reserve(sigma.tgds.size());
   for (const Tgd& tgd : sigma.tgds) {
-    out.tgds.emplace_back(PrimeAtoms(universe, tgd.body()),
-                          PrimeAtoms(universe, tgd.head()));
+    out.tgds.emplace_back(PrimeAtoms(primed, tgd.body()),
+                          PrimeAtoms(primed, tgd.head()));
   }
   for (const Fd& fd : sigma.fds) {
-    Fd primed = fd;
-    primed.relation = PrimedRelation(universe, fd.relation);
-    out.fds.push_back(std::move(primed));
+    Fd primed_fd = fd;
+    primed_fd.relation = (*primed)(fd.relation);
+    out.fds.push_back(std::move(primed_fd));
   }
   return out;
 }
@@ -66,20 +78,20 @@ StatusOr<AmonDetReduction> BuildAmonDetReduction(
 
   AmonDetReduction red;
   red.q = q;
-  red.q_prime = PrimeQuery(universe, q);
+  PrimedRelations primed(universe);
+  red.q_prime = PrimeQuery(&primed, q);
 
   StatusOr<RelationId> acc = universe->AddRelation("@accessible", 1);
   RBDA_CHECK(acc.ok());
   red.accessible_rel = *acc;
 
   // Σ and Σ'.
-  red.gamma = schema.constraints();
-  red.gamma = red.gamma.UnionWith(
-      PrimeConstraints(universe, schema.constraints()));
-  for (RelationId r : schema.relations()) {
-    red.primed.emplace(r, PrimedRelation(universe, r));
-  }
+  red.gamma = schema.constraints().UnionWith(
+      PrimeConstraints(&primed, schema.constraints()));
+  for (RelationId r : schema.relations()) red.primed.emplace(r, primed(r));
   if (options.drop_fds) red.gamma.fds.clear();
+
+  RuleVariables vars(universe);
 
   // Accessibility axioms per method.
   for (const AccessMethod& method : schema.methods()) {
@@ -89,10 +101,7 @@ StatusOr<AmonDetReduction> BuildAmonDetReduction(
     bool bounded = method.HasBound() && !is_boolean;
 
     // Shared body scaffolding: R(x, y) with accessibility atoms on inputs.
-    std::vector<Term> args;
-    for (uint32_t p = 0; p < arity; ++p) {
-      args.push_back(universe->FreshVariable());
-    }
+    std::vector<Term> args = vars.Take(0, arity);
     std::vector<Atom> body;
     for (uint32_t p : method.input_positions) {
       body.emplace_back(red.accessible_rel, std::vector<Term>{args[p]});
@@ -100,12 +109,15 @@ StatusOr<AmonDetReduction> BuildAmonDetReduction(
     body.emplace_back(r, args);
 
     if (options.mode == ReductionMode::kNaive) {
-      RelationId r_acc = AccessedRelation(universe, r);
-      red.accessed.emplace(r, r_acc);
+      auto accessed = red.accessed.find(r);
+      if (accessed == red.accessed.end()) {
+        accessed = red.accessed.emplace(r, AccessedRelation(universe, r)).first;
+      }
+      RelationId r_acc = accessed->second;
       if (!bounded) {
         size_t idx = red.gamma.tgds.size();
         red.gamma.tgds.emplace_back(
-            body, std::vector<Atom>{Atom(r_acc, args)});
+            std::move(body), std::vector<Atom>{Atom(r_acc, args)});
         red.axiom_method.emplace(idx, method.name);
       } else {
         CardinalityRule rule;
@@ -128,7 +140,7 @@ StatusOr<AmonDetReduction> BuildAmonDetReduction(
         head.emplace_back(red.accessible_rel, std::vector<Term>{args[p]});
       }
       size_t idx = red.gamma.tgds.size();
-      red.gamma.tgds.emplace_back(body, std::move(head));
+      red.gamma.tgds.emplace_back(std::move(body), std::move(head));
       red.axiom_method.emplace(idx, method.name);
     } else {
       if (method.bound != 1) {
@@ -143,17 +155,8 @@ StatusOr<AmonDetReduction> BuildAmonDetReduction(
       if (options.export_determined) {
         kept = DetBy(schema.constraints().fds, r, method.input_positions);
       }
-      std::vector<Term> head_args;
-      std::vector<Term> fresh_outputs;
-      for (uint32_t p = 0; p < arity; ++p) {
-        if (std::binary_search(kept.begin(), kept.end(), p)) {
-          head_args.push_back(args[p]);
-        } else {
-          Term z = universe->FreshVariable();
-          head_args.push_back(z);
-          fresh_outputs.push_back(z);
-        }
-      }
+      std::vector<Term> head_args = vars.Take(arity, arity);
+      for (uint32_t p : kept) head_args[p] = args[p];
       std::vector<Atom> head;
       head.emplace_back(r, head_args);
       head.emplace_back(red.primed.at(r), head_args);
@@ -167,7 +170,7 @@ StatusOr<AmonDetReduction> BuildAmonDetReduction(
         }
       }
       size_t idx = red.gamma.tgds.size();
-      red.gamma.tgds.emplace_back(body, std::move(head));
+      red.gamma.tgds.emplace_back(std::move(body), std::move(head));
       red.axiom_method.emplace(idx, method.name);
     }
   }
@@ -176,10 +179,7 @@ StatusOr<AmonDetReduction> BuildAmonDetReduction(
   if (options.mode == ReductionMode::kNaive) {
     for (const auto& [r, r_acc] : red.accessed) {
       uint32_t arity = universe->Arity(r);
-      std::vector<Term> args;
-      for (uint32_t p = 0; p < arity; ++p) {
-        args.push_back(universe->FreshVariable());
-      }
+      std::vector<Term> args = vars.Take(0, arity);
       std::vector<Atom> head;
       head.emplace_back(r, args);
       head.emplace_back(red.primed.at(r), args);

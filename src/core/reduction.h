@@ -22,6 +22,7 @@
 #define RBDA_CORE_REDUCTION_H_
 
 #include <map>
+#include <vector>
 
 #include "chase/chase.h"
 #include "logic/conjunctive_query.h"
@@ -67,9 +68,39 @@ StatusOr<AmonDetReduction> BuildAmonDetReduction(
 /// The primed copy of a relation (interned as "<name>@p").
 RelationId PrimedRelation(Universe* universe, RelationId relation);
 
+/// The primed copies one caller needs, each interned on first use and then
+/// looked up by relation id, so priming many atoms formats each name once.
+class PrimedRelations {
+ public:
+  explicit PrimedRelations(Universe* universe) : universe_(universe) {}
+  RelationId operator()(RelationId relation);
+
+ private:
+  static constexpr RelationId kUnset = ~RelationId(0);
+  Universe* universe_;
+  std::vector<RelationId> ids_;  // by relation id; kUnset until interned
+};
+
+/// Variables for the rules one call emits. TGD variables are rule-scoped,
+/// so all rules draw from one pool of fresh variables: body positions from
+/// the front, head positions after them, which keeps a head's existential
+/// variables in position order.
+class RuleVariables {
+ public:
+  explicit RuleVariables(Universe* universe) : universe_(universe) {}
+  /// Pool entries [offset, offset + n), minting those not yet made.
+  std::vector<Term> Take(size_t offset, uint32_t n);
+
+ private:
+  Universe* universe_;
+  std::vector<Term> pool_;
+};
+
 /// Rewrites a query / constraint set onto the primed signature.
-ConjunctiveQuery PrimeQuery(Universe* universe, const ConjunctiveQuery& q);
-ConstraintSet PrimeConstraints(Universe* universe, const ConstraintSet& sigma);
+ConjunctiveQuery PrimeQuery(PrimedRelations* primed,
+                            const ConjunctiveQuery& q);
+ConstraintSet PrimeConstraints(PrimedRelations* primed,
+                               const ConstraintSet& sigma);
 
 }  // namespace rbda
 

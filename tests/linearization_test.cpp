@@ -1,5 +1,9 @@
 #include "core/linearization.h"
 
+#include <chrono>
+#include <fstream>
+#include <sstream>
+
 #include "chase/containment.h"
 #include "core/answerability.h"
 #include "gtest/gtest.h"
@@ -216,6 +220,31 @@ TEST(LinearizationTest, ReportsDecomposition) {
   EXPECT_GT(lin->num_rules_acyclic, 0u);
   EXPECT_GT(lin->jk_depth_bound, 0u);
   for (const Tgd& tgd : lin->tgds) EXPECT_TRUE(tgd.IsLinear());
+}
+
+// A width-14 ID would have the linearizer saturate 2 × 2^14 masks (12 s in
+// a Release build before the limit), and an arity-33 relation would shift
+// past the 32-bit masks: both documents must end in a Status at once.
+TEST(LinearizationTest, WideIdsEndInAStatus) {
+  const std::pair<const char*, StatusCode> cases[] = {
+      {"wide_id_14.rbda", StatusCode::kResourceExhausted},
+      {"wide_id_33.rbda", StatusCode::kInvalidArgument},
+  };
+  for (const auto& [file, code] : cases) {
+    std::ifstream in(std::string(RBDA_TEST_DATA_DIR) + "/" + file);
+    ASSERT_TRUE(in.is_open()) << file;
+    std::stringstream text;
+    text << in.rdbuf();
+    Universe u;
+    ParsedDocument doc = MustParse(text.str(), &u);
+    auto start = std::chrono::steady_clock::now();
+    StatusOr<Decision> d =
+        DecideQueryAnswerability(doc.schema, doc.queries.at("Q"));
+    std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(d.status().code(), code) << file << ": " << d.status().ToString();
+    EXPECT_LT(elapsed.count(), 1.0) << file;
+  }
 }
 
 }  // namespace

@@ -19,10 +19,12 @@ TEST(ReductionTest, PrimedCopies) {
   EXPECT_EQ(PrimedRelation(&u, prof), primed);  // idempotent
 
   ConjunctiveQuery q = doc.queries.at("Q2");
-  ConjunctiveQuery qp = PrimeQuery(&u, q);
+  PrimedRelations primed_ids(&u);
+  ConjunctiveQuery qp = PrimeQuery(&primed_ids, q);
   EXPECT_EQ(qp.atoms()[0].relation, PrimedRelation(&u, q.atoms()[0].relation));
 
-  ConstraintSet primed_cs = PrimeConstraints(&u, doc.schema.constraints());
+  ConstraintSet primed_cs =
+      PrimeConstraints(&primed_ids, doc.schema.constraints());
   EXPECT_EQ(primed_cs.tgds.size(), 1u);
   EXPECT_EQ(primed_cs.tgds[0].body()[0].relation,
             PrimedRelation(&u, doc.schema.constraints().tgds[0].body()[0].relation));
