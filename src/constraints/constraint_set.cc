@@ -75,14 +75,6 @@ Fragment ConstraintSet::Classify() const {
   return Fragment::kMixed;
 }
 
-size_t ConstraintSet::MaxIdWidth() const {
-  size_t w = 0;
-  for (const Tgd& tgd : tgds) {
-    if (tgd.IsId()) w = std::max(w, tgd.Width());
-  }
-  return w;
-}
-
 ConstraintSet ConstraintSet::UnionWith(const ConstraintSet& other) const {
   ConstraintSet out = *this;
   out.tgds.insert(out.tgds.end(), other.tgds.begin(), other.tgds.end());

@@ -39,10 +39,6 @@ struct ConstraintSet {
   /// Syntactic classification (most specific fragment that applies).
   Fragment Classify() const;
 
-  /// Maximum width over the IDs (0 if none); meaningful when all TGDs are
-  /// IDs.
-  size_t MaxIdWidth() const;
-
   /// Concatenates two constraint sets.
   ConstraintSet UnionWith(const ConstraintSet& other) const;
 

@@ -71,21 +71,19 @@ TruncatedSaturation::TruncatedSaturation(
     const Universe& universe, size_t w)
     : small_masks_(kMaxLinearizedArity + 1), w_(w) {
   // Track every relation appearing in the IDs or methods.
+  std::vector<RelationId> relations;
   for (const Tgd& tgd : ids) {
-    tracked_.push_back({tgd.body()[0].relation});
-    tracked_.push_back({tgd.head()[0].relation});
+    relations.push_back(tgd.body()[0].relation);
+    relations.push_back(tgd.head()[0].relation);
   }
-  for (const AccessMethod& m : methods) tracked_.push_back({m.relation});
-  std::sort(tracked_.begin(), tracked_.end(),
-            [](const Tracked& a, const Tracked& b) {
-              return a.relation < b.relation;
-            });
-  tracked_.erase(std::unique(tracked_.begin(), tracked_.end(),
-                             [](const Tracked& a, const Tracked& b) {
-                               return a.relation == b.relation;
-                             }),
-                 tracked_.end());
-  for (Tracked& t : tracked_) {
+  for (const AccessMethod& m : methods) relations.push_back(m.relation);
+  std::sort(relations.begin(), relations.end());
+  relations.erase(std::unique(relations.begin(), relations.end()),
+                  relations.end());
+  tracked_.resize(relations.size());
+  for (size_t i = 0; i < relations.size(); ++i) {
+    Tracked& t = tracked_[i];
+    t.relation = relations[i];
     uint32_t arity = universe.Arity(t.relation);
     t.full = FullMask(arity);
     t.premises = SmallMasks(arity);

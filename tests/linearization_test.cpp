@@ -247,5 +247,42 @@ TEST(LinearizationTest, WideIdsEndInAStatus) {
   }
 }
 
+// The limit counts C(arity, ≤ w) masks per relation, plus the full mask
+// when it has more than w positions, and admits exactly kMaxTrackedMasks.
+TEST(LinearizationTest, MaskLimitCountsSmallMasksPerRelation) {
+  struct Case {
+    uint32_t arity, width;
+    const char* refusal;  // null when admitted
+  };
+  // Two relations of 2^11, of 2,047 + 1 and of 4,083 + 1 masks each.
+  const Case cases[] = {{11, 11, nullptr}, {11, 10, nullptr},
+                        {12, 10, "track 8168 position masks"}};
+  for (const Case& c : cases) {
+    std::string cols, body, head;
+    for (uint32_t p = 0; p < c.arity; ++p) {
+      std::string sep = p == 0 ? "" : ", ";
+      cols += sep + "a" + std::to_string(p);
+      body += sep + "x" + std::to_string(p);
+      head += sep + (p < c.width ? "x" : "y") + std::to_string(p);
+    }
+    Universe u;
+    ParsedDocument doc = MustParse(
+        "relation R(" + cols + ")\nrelation S(" + cols + ")\n" +
+            "method m on R inputs(0)\ntgd R(" + body + ") -> S(" + head +
+            ")\nquery Q() :- R(" + body + ")\n",
+        &u);
+    StatusOr<LinearizedProblem> lin = LinearizeAnswerability(
+        doc.schema, doc.queries.at("Q"), PlainMethods(doc.schema, false));
+    if (c.refusal == nullptr) {
+      EXPECT_TRUE(lin.ok()) << c.arity << "/" << c.width << ": "
+                            << lin.status().ToString();
+    } else {
+      EXPECT_EQ(lin.status().code(), StatusCode::kResourceExhausted);
+      EXPECT_NE(lin.status().ToString().find(c.refusal), std::string::npos)
+          << lin.status().ToString();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rbda
