@@ -97,7 +97,7 @@ TruncatedSaturation::TruncatedSaturation(
         m.input_positions.size() != universe.Arity(m.relation)) {
       continue;
     }
-    TrackedOf(m.relation).access_inputs.push_back(
+    tracked_[IndexOf(m.relation)].access_inputs.push_back(
         PositionMask(m.input_positions));
   }
   Saturate(ids);
@@ -124,11 +124,12 @@ const std::vector<PosMask>& TruncatedSaturation::SmallMasks(uint32_t arity) {
   return out;
 }
 
-TruncatedSaturation::Tracked& TruncatedSaturation::TrackedOf(
-    RelationId relation) {
-  return *std::lower_bound(
+size_t TruncatedSaturation::IndexOf(RelationId relation) const {
+  auto it = std::lower_bound(
       tracked_.begin(), tracked_.end(), relation,
       [](const Tracked& t, RelationId r) { return t.relation < r; });
+  if (it == tracked_.end() || it->relation != relation) return tracked_.size();
+  return it - tracked_.begin();
 }
 
 PosMask TruncatedSaturation::Expand(const Tracked& tracked,
@@ -185,8 +186,8 @@ void TruncatedSaturation::Saturate(const std::vector<Tgd>& ids) {
     // (ID) pullback: a derived axiom on the head relation, restricted to
     // exported positions, pulls back to the body relation.
     for (const IdView& view : views) {
-      const Tracked& head = TrackedOf(view.head_rel);
-      Tracked& body = TrackedOf(view.body_rel);
+      const Tracked& head = tracked_[IndexOf(view.head_rel)];
+      Tracked& body = tracked_[IndexOf(view.body_rel)];
       size_t e = view.exported.size();
       for (PosMask choice = 0; choice < (PosMask(1) << e); ++choice) {
         PosMask head_premise = 0, body_premise = 0;
@@ -217,11 +218,8 @@ void TruncatedSaturation::Saturate(const std::vector<Tgd>& ids) {
 
 PosMask TruncatedSaturation::Closure(RelationId relation,
                                      PosMask start) const {
-  auto it = std::lower_bound(
-      tracked_.begin(), tracked_.end(), relation,
-      [](const Tracked& t, RelationId r) { return t.relation < r; });
-  if (it == tracked_.end() || it->relation != relation) return start;
-  return Expand(*it, start);
+  size_t i = IndexOf(relation);
+  return i == tracked_.size() ? start : Expand(tracked_[i], start);
 }
 
 StatusOr<LinearizedProblem> LinearizeAnswerability(

@@ -89,8 +89,8 @@ class TruncatedSaturation {
   };
 
   void Saturate(const std::vector<Tgd>& ids);
-  // The entry of a relation the constructor tracked.
-  Tracked& TrackedOf(RelationId relation);
+  // The index of `relation` in tracked_, or tracked_.size() if untracked.
+  size_t IndexOf(RelationId relation) const;
   PosMask Expand(const Tracked& tracked, PosMask start) const;
 
   std::vector<Tracked> tracked_;  // ascending relation
