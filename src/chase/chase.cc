@@ -282,7 +282,7 @@ class Engine {
     uint64_t fired = 0;
     Instance& inst = result_.instance;
     for (size_t k = 0; k < plans_.size(); ++k) {
-      const CompiledTgd& plan = plans_[k];
+      CompiledTgd& plan = plans_[k];
       const uint32_t width = plan.num_body_slots();
 
       // Materialize the triggers first, as body-slot tuples: firing

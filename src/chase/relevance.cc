@@ -149,11 +149,25 @@ std::optional<Instance> CounterModelRefutesGoals(
     const std::vector<Tgd>& tgds, const std::vector<CardinalityRule>& rules,
     Universe* universe, size_t max_facts, size_t max_rounds) {
   if (universe == nullptr) return std::nullopt;
+  // Each goal is compiled once, for the check on `start` and the one on
+  // the saturated model.
+  std::vector<CompiledJoin> goal_joins;
+  goal_joins.reserve(goals.size());
+  size_t goal_width = 0;
+  for (const std::vector<Atom>& goal : goals) {
+    goal_width = std::max<size_t>(goal_width,
+                                  goal_joins.emplace_back(goal).num_slots());
+  }
+  std::vector<Term> goal_slots(goal_width);
+  auto some_goal_holds = [&](const Instance& inst) {
+    for (CompiledJoin& join : goal_joins) {
+      if (join.Exists(inst, nullptr, goal_slots.data())) return true;
+    }
+    return false;
+  };
   // A model containing `start` cannot refute a goal that already holds in
   // `start`: decline before minting any witness.
-  for (const std::vector<Atom>& goal : goals) {
-    if (FindHomomorphism(goal, start).has_value()) return std::nullopt;
-  }
+  if (some_goal_holds(start)) return std::nullopt;
 
   Instance m;
   bool overflow = false;
@@ -201,7 +215,7 @@ std::optional<Instance> CounterModelRefutesGoals(
   for (size_t round = 0; round < max_rounds && !saturated; ++round) {
     std::vector<Fact> pending;
     for (size_t i = 0; i < plans.size(); ++i) {
-      const CompiledTgd& plan = plans[i];
+      CompiledTgd& plan = plans[i];
       plan.ForEachBodyMatch(
           m, round == 0 ? nullptr : &delta, slots[i].data(),
           [&](const Term* bound) {
@@ -292,9 +306,7 @@ std::optional<Instance> CounterModelRefutesGoals(
   // No fixpoint within budget: inconclusive.
   if (!saturated) return std::nullopt;
 
-  for (const std::vector<Atom>& goal : goals) {
-    if (FindHomomorphism(goal, m).has_value()) return std::nullopt;
-  }
+  if (some_goal_holds(m)) return std::nullopt;
   return m;
 }
 

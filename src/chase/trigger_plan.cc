@@ -25,6 +25,10 @@ CompiledTgd::CompiledTgd(const Tgd& tgd) : tgd_(&tgd) {
     body_.push_back(std::move(atom));
   }
   num_body_slots_ = static_cast<uint32_t>(slot_terms_.size());
+  if (body_.size() != 1) {
+    body_join_ = std::make_unique<CompiledJoin>(tgd.body());
+    RBDA_DCHECK(body_join_->num_slots() == num_body_slots_);
+  }
   for (Term y : tgd.ExistentialVariables()) new_slot(y);
   num_slots_ = static_cast<uint32_t>(slot_terms_.size());
 

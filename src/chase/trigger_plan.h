@@ -14,15 +14,17 @@
 // src/ build nothing else); any non-constant term is treated as a
 // variable.
 //
-// Body matches come in the order ForEachHomomorphism[Delta] yields them:
-// a single body atom is unified with the relation's rows in row order, so
-// callers that fire in enumeration order run the same chase the generic
-// homomorphism search would. Bodies of other sizes go through that search
-// and are projected into the slots once per match.
+// Body matches come in the search order of logic/homomorphism.h: a single
+// body atom is unified with the relation's rows in row order, and bodies of
+// other sizes go through a CompiledJoin over the body, compiled once per
+// plan, which binds the same body slots in the caller's slot array. Callers
+// that fire in enumeration order therefore run the same chase the generic
+// homomorphism search would.
 #ifndef RBDA_CHASE_TRIGGER_PLAN_H_
 #define RBDA_CHASE_TRIGGER_PLAN_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "constraints/tgd.h"
@@ -51,12 +53,13 @@ class CompiledTgd {
 
   /// Calls `fn(slots)` once per body match in `inst` — every match, or
   /// with `delta` non-null only those touching facts added since it — in
-  /// ForEachHomomorphism[Delta] order, with the body slots filled. `fn`
-  /// must not grow `inst`: collect first, fire afterwards.
+  /// search order, with the body slots filled. `fn` must not grow `inst`:
+  /// collect first, fire afterwards. Not const: a multi-atom body's join
+  /// keeps scratch state.
   template <typename Fn>
   void ForEachBodyMatch(const Instance& inst,
                         const Instance::DeltaMark* delta, Term* slots,
-                        Fn&& fn) const {
+                        Fn&& fn) {
     if (body_.size() == 1) {
       const CompiledAtom& atom = body_[0];
       FactRange rows = inst.FactsOf(atom.relation);
@@ -67,18 +70,10 @@ class CompiledTgd {
       }
       return;
     }
-    auto project = [&](const Substitution& sub) {
-      for (uint32_t s = 0; s < num_body_slots_; ++s) {
-        slots[s] = sub.find(slot_terms_[s])->second;
-      }
-      fn(slots);
+    body_join_->ForEach(inst, delta, slots, [&](const Term* bound) {
+      fn(bound);
       return true;
-    };
-    if (delta != nullptr) {
-      ForEachHomomorphismDelta(tgd_->body(), inst, nullptr, *delta, project);
-    } else {
-      ForEachHomomorphism(tgd_->body(), inst, nullptr, project);
-    }
+    });
   }
 
   /// Activeness test for a trigger whose body slots are bound: true when
@@ -149,6 +144,12 @@ class CompiledTgd {
 
   const Tgd* tgd_;
   std::vector<CompiledAtom> body_;
+  // The body's join, for bodies of other than one atom; its slots are the
+  // body slots. Held by pointer: a join is several times the size of the
+  // rest of a plan, and most plans have one body atom. Inline, it made
+  // every plan of the countermodel and the generic engine bigger, and their
+  // construction slower (docs/PERFORMANCE.md).
+  std::unique_ptr<CompiledJoin> body_join_;
   std::vector<CompiledAtom> head_;
   std::vector<Term> slot_terms_;  // the variable behind each slot
   std::vector<uint32_t> exported_slots_;

@@ -132,6 +132,11 @@ const std::vector<uint32_t>& RelationStore::Postings(uint32_t position,
   return it == postings_[position].end() ? kNoPostings : it->second;
 }
 
+const std::vector<uint32_t>& FactRange::Postings(uint32_t position,
+                                                 Term term) const {
+  return store_ == nullptr ? kNoPostings : store_->Postings(position, term);
+}
+
 size_t RelationStore::MemoryBytes() const {
   size_t bytes = blocks_.size() * static_cast<size_t>(arity_) *
                  kRowsPerBlock * sizeof(Term);

@@ -152,6 +152,8 @@ class FactRange {
   FactRef operator[](size_t i) const {
     return FactRef(store_->relation(), store_->Row(i), store_->arity());
   }
+  /// RelationStore::Postings of the viewed store (empty list if none).
+  const std::vector<uint32_t>& Postings(uint32_t position, Term term) const;
 
   class iterator {
    public:

@@ -26,222 +26,273 @@ std::vector<Atom> ApplyToAtoms(const Substitution& sub,
 
 namespace {
 
-// Half-open range of fact indexes (into FactsOf(relation)) an atom may
-// match. The default admits every fact; semi-naive pivot partitioning
-// narrows ranges per atom.
-struct AtomRange {
-  uint32_t lo = 0;
-  uint32_t hi = UINT32_MAX;
-  bool Contains(uint32_t i) const { return i >= lo && i < hi; }
-};
+// Slot lookup while compiling: a scan over the slots found so far, which
+// beats hashing for the few slots of a query, body or goal; conjunctions
+// with more positions than this (a whole instance as the source, in
+// InstanceHomomorphismExists) use a hash map, so compiling stays linear.
+constexpr size_t kLinearSlotLookup = 64;
 
-// Backtracking join over the atoms. The atom order is chosen dynamically:
-// at each level we pick the remaining atom with the most bound arguments
-// (ties broken by the smallest candidate-set estimate), which keeps
-// intermediate candidate sets small. Bound-argument counts are maintained
-// incrementally as variables bind/unbind, so atom selection never rescans
-// argument lists against the substitution.
-class Searcher {
- public:
-  Searcher(const std::vector<Atom>& atoms, const Instance& target,
-           std::function<bool(const Substitution&)> callback,
-           const std::vector<AtomRange>* ranges = nullptr)
-      : atoms_(atoms), target_(target), callback_(std::move(callback)),
-        ranges_(ranges) {
-    for (size_t i = 0; i < atoms_.size(); ++i) {
-      for (const Term& t : atoms_[i].args) {
-        if (!t.IsConstant()) {
-          var_occurrences_[t].push_back(static_cast<uint32_t>(i));
-        }
-      }
-    }
-  }
+}  // namespace
 
-  // Returns false if enumeration was aborted by the callback.
-  bool Run(Substitution* sub) {
-    used_.assign(atoms_.size(), false);
-    bound_score_.assign(atoms_.size(), 0);
-    for (size_t i = 0; i < atoms_.size(); ++i) {
-      for (const Term& t : atoms_[i].args) {
-        if (t.IsConstant() || sub->find(t) != sub->end()) ++bound_score_[i];
-      }
-    }
-    return Recurse(sub, atoms_.size());
-  }
-
-  size_t count() const { return count_; }
-
- private:
-  // Smallest posting list among this atom's bound argument positions
-  // (nullptr when none is bound); *estimate gets the candidate count
-  // either way. One substitution lookup per argument — binding state and
-  // image come from the same find.
-  const std::vector<uint32_t>* SmallestPostings(const Substitution& sub,
-                                                const Atom& atom,
-                                                size_t* estimate) const {
-    const std::vector<uint32_t>* postings = nullptr;
-    for (uint32_t p = 0; p < atom.args.size(); ++p) {
-      Term t = atom.args[p];
-      if (!t.IsConstant()) {
-        auto it = sub.find(t);
-        if (it == sub.end()) continue;
-        t = it->second;
-      }
-      const std::vector<uint32_t>& list =
-          target_.FactsWith(atom.relation, p, t);
-      if (postings == nullptr || list.size() < postings->size()) {
-        postings = &list;
-      }
-    }
-    *estimate =
-        postings ? postings->size() : target_.FactsOf(atom.relation).size();
-    return postings;
-  }
-
-  // Picks the unused atom with the most bound arguments, breaking ties on
-  // the smaller candidate-set estimate. Returns the chosen atom's posting
-  // list through *postings_out so Recurse does not recompute it.
-  size_t PickNextAtom(const Substitution& sub,
-                      const std::vector<uint32_t>** postings_out) const {
-    size_t best = atoms_.size();
-    int best_score = -1;
-    size_t best_estimate = 0;
-    const std::vector<uint32_t>* best_postings = nullptr;
-    for (size_t i = 0; i < atoms_.size(); ++i) {
-      if (used_[i]) continue;
-      int score = bound_score_[i];
-      if (score < best_score) continue;
-      size_t estimate;
-      const std::vector<uint32_t>* postings =
-          SmallestPostings(sub, atoms_[i], &estimate);
-      if (score > best_score || estimate < best_estimate) {
-        best = i;
-        best_score = score;
-        best_estimate = estimate;
-        best_postings = postings;
-      }
-    }
-    *postings_out = best_postings;
-    return best;
-  }
-
-  void BindVar(Substitution* sub, Term t, Term v,
-               std::vector<Term>* newly_bound) {
-    sub->emplace(t, v);
-    newly_bound->push_back(t);
-    for (uint32_t i : var_occurrences_.find(t)->second) ++bound_score_[i];
-  }
-
-  void UnbindVars(Substitution* sub, const std::vector<Term>& newly_bound) {
-    for (Term t : newly_bound) {
-      sub->erase(t);
-      for (uint32_t i : var_occurrences_.find(t)->second) --bound_score_[i];
-    }
-  }
-
-  bool Recurse(Substitution* sub, size_t remaining) {
-    if (remaining == 0) {
-      ++count_;
-      return callback_(*sub);
-    }
-    const std::vector<uint32_t>* postings = nullptr;
-    size_t idx = PickNextAtom(*sub, &postings);
-    const Atom& atom = atoms_[idx];
-    used_[idx] = true;
-
-    // Packed row view: candidate rows are contiguous arena memory, and a
-    // relation's rows all share one arity — an atom of a different arity
-    // matches nothing.
-    FactRange facts = target_.FactsOf(atom.relation);
-    if (!facts.empty() && facts[0].arity() != atom.args.size()) {
-      used_[idx] = false;
-      return true;
-    }
-
-    bool keep_going = true;
-    auto try_fact = [&](FactRef fact) -> bool {
-      // Attempt to unify atom with fact, extending sub.
-      std::vector<Term> newly_bound;
-      bool match = true;
-      for (size_t p = 0; p < atom.args.size(); ++p) {
-        Term a = atom.args[p];
-        Term v = fact.arg(static_cast<uint32_t>(p));
-        if (a.IsConstant()) {
-          if (a != v) {
-            match = false;
-            break;
-          }
-          continue;
-        }
-        auto it = sub->find(a);
-        if (it != sub->end()) {
-          if (it->second != v) {
-            match = false;
-            break;
-          }
-        } else {
-          BindVar(sub, a, v, &newly_bound);
-        }
-      }
-      if (match) {
-        if (!Recurse(sub, remaining - 1)) {
-          UnbindVars(sub, newly_bound);
-          return false;
-        }
-      }
-      UnbindVars(sub, newly_bound);
-      return true;
-    };
-
-    AtomRange range;  // default: all facts
-    if (ranges_ != nullptr) range = (*ranges_)[idx];
-    if (postings != nullptr) {
-      for (uint32_t i : *postings) {
-        if (!range.Contains(i)) continue;
-        if (!try_fact(facts[i])) {
-          keep_going = false;
-          break;
-        }
-      }
+CompiledJoin::CompiledJoin(std::span<const Atom> atoms) {
+  size_t num_args = 0;
+  for (const Atom& atom : atoms) num_args += atom.args.size();
+  atoms_.reserve(atoms.size());
+  args_.reserve(num_args);
+  slot_plans_.reserve(num_args);
+  std::unordered_map<Term, uint32_t, TermHash> slot_of;
+  auto slot_for = [&](Term t) {
+    uint32_t next = static_cast<uint32_t>(slot_plans_.size());
+    if (num_args > kLinearSlotLookup) {
+      auto [it, inserted] = slot_of.emplace(t, next);
+      if (!inserted) return it->second;
     } else {
-      uint32_t end = std::min<uint32_t>(static_cast<uint32_t>(facts.size()),
-                                        range.hi);
-      for (uint32_t i = range.lo; i < end; ++i) {
-        if (!try_fact(facts[i])) {
-          keep_going = false;
-          break;
-        }
+      for (uint32_t s = 0; s < next; ++s) {
+        if (slot_plans_[s].term == t) return s;
       }
     }
-    used_[idx] = false;
-    return keep_going;
+    slot_plans_.emplace_back().term = t;
+    return next;
+  };
+  // First pass: slots, and each slot's occurrence count in end_occurrence.
+  for (const Atom& atom : atoms) {
+    AtomPlan& plan = atoms_.emplace_back();
+    plan.relation = atom.relation;
+    plan.first_arg = static_cast<uint32_t>(args_.size());
+    plan.arity = static_cast<uint32_t>(atom.args.size());
+    for (Term t : atom.args) {
+      if (t.IsConstant()) {
+        args_.push_back(Arg{kNoSlot, t});
+        ++plan.constants;
+        continue;
+      }
+      uint32_t s = slot_for(t);
+      ++slot_plans_[s].end_occurrence;
+      args_.push_back(Arg{s, Term()});
+    }
   }
+  // Second pass: group the occurrences by slot.
+  uint32_t offset = 0;
+  for (SlotPlan& slot : slot_plans_) {
+    slot.first_occurrence = offset;
+    offset += slot.end_occurrence;
+    slot.end_occurrence = slot.first_occurrence;
+  }
+  occurrences_.resize(offset);
+  for (uint32_t i = 0; i < atoms_.size(); ++i) {
+    const AtomPlan& plan = atoms_[i];
+    for (uint32_t p = 0; p < plan.arity; ++p) {
+      uint32_t s = args_[plan.first_arg + p].slot;
+      if (s != kNoSlot) occurrences_[slot_plans_[s].end_occurrence++] = i;
+    }
+  }
+  trail_.resize(slot_plans_.size());
+}
 
-  const std::vector<Atom>& atoms_;
-  const Instance& target_;
-  std::function<bool(const Substitution&)> callback_;
-  const std::vector<AtomRange>* ranges_;
-  std::vector<bool> used_;
-  // Atom indexes containing each non-constant term, one entry per
-  // occurrence (feeds the incremental bound scores).
-  std::unordered_map<Term, std::vector<uint32_t>, TermHash> var_occurrences_;
-  std::vector<int> bound_score_;
-  size_t count_ = 0;
-};
+size_t CompiledJoin::Run(const Instance& target,
+                         const Instance::DeltaMark* delta, Term* slots,
+                         std::span<const uint32_t> seeded, bool existence,
+                         Callback callback, void* context) {
+  slots_ = slots;
+  existence_ = existence;
+  callback_ = callback;
+  context_ = context;
+  count_ = 0;
+  trail_size_ = 0;
+  for (AtomPlan& atom : atoms_) {
+    atom.rows = target.FactsOf(atom.relation);
+    atom.range = Range{};
+    atom.bound = atom.constants;
+    atom.used = false;
+  }
+  for (SlotPlan& slot : slot_plans_) slot.bound = false;
+  for (uint32_t s : seeded) {
+    if (!slot_plans_[s].bound) SetBound(s, true);
+  }
+  const size_t n = atoms_.size();
+  if (delta == nullptr) {
+    Search(n);
+    return count_;
+  }
+  // Pivot partitioning: the union over pivots covers every homomorphism
+  // touching the delta, and the partitions are disjoint.
+  for (AtomPlan& atom : atoms_) {
+    atom.delta_begin = target.DeltaBegin(*delta, atom.relation);
+  }
+  for (size_t p = 0; p < n; ++p) {
+    if (atoms_[p].delta_begin >= atoms_[p].rows.size()) continue;
+    for (size_t j = 0; j < n; ++j) {
+      atoms_[j].range = j < p    ? Range{0, atoms_[j].delta_begin}
+                        : j == p ? Range{atoms_[p].delta_begin, UINT32_MAX}
+                                 : Range{};
+    }
+    if (!Search(n)) break;  // the callback asked to stop
+  }
+  return count_;
+}
+
+size_t CompiledJoin::Estimate(const AtomPlan& atom,
+                              const std::vector<uint32_t>** postings) const {
+  const Range range = atom.range;
+  const bool whole = !existence_ || (range.lo == 0 && range.hi == UINT32_MAX);
+  *postings = nullptr;
+  size_t best = 0;
+  for (uint32_t p = 0; p < atom.arity; ++p) {
+    const Arg& arg = args_[atom.first_arg + p];
+    Term value = arg.constant;
+    if (arg.slot != kNoSlot) {
+      if (!slot_plans_[arg.slot].bound) continue;
+      value = slots_[arg.slot];
+    }
+    const std::vector<uint32_t>& list = atom.rows.Postings(p, value);
+    size_t size = list.size();
+    if (!whole) {
+      size = std::lower_bound(list.begin(), list.end(), range.hi) -
+             std::lower_bound(list.begin(), list.end(), range.lo);
+    }
+    if (*postings == nullptr || size < best) {
+      *postings = &list;
+      best = size;
+    }
+  }
+  if (*postings != nullptr) return best;
+  const size_t rows = atom.rows.size();
+  if (whole) return rows;
+  return range.lo < rows ? std::min<size_t>(rows, range.hi) - range.lo : 0;
+}
+
+void CompiledJoin::SetBound(uint32_t slot, bool bound) {
+  SlotPlan& plan = slot_plans_[slot];
+  plan.bound = bound;
+  const int step = bound ? 1 : -1;
+  for (uint32_t k = plan.first_occurrence; k < plan.end_occurrence; ++k) {
+    atoms_[occurrences_[k]].bound += step;
+  }
+}
+
+void CompiledJoin::Bind(uint32_t slot, Term value) {
+  slots_[slot] = value;
+  SetBound(slot, true);
+  trail_[trail_size_++] = slot;
+}
+
+void CompiledJoin::UndoTo(uint32_t mark) {
+  while (trail_size_ > mark) SetBound(trail_[--trail_size_], false);
+}
+
+bool CompiledJoin::Search(size_t remaining) {
+  if (remaining == 0) {
+    ++count_;
+    return callback_ != nullptr && callback_(context_, slots_);
+  }
+  // The unused atom with the most bound positions, ties broken by the
+  // smaller estimate, then by atom order.
+  AtomPlan* best = nullptr;
+  int best_score = -1;
+  size_t best_estimate = 0;
+  const std::vector<uint32_t>* best_postings = nullptr;
+  for (AtomPlan& atom : atoms_) {
+    if (atom.used || atom.bound < best_score) continue;
+    const std::vector<uint32_t>* postings;
+    size_t estimate = Estimate(atom, &postings);
+    if (atom.bound > best_score || estimate < best_estimate) {
+      best = &atom;
+      best_score = atom.bound;
+      best_estimate = estimate;
+      best_postings = postings;
+    }
+  }
+  AtomPlan& atom = *best;
+  const FactRange rows = atom.rows;
+  // A relation's rows share one arity: an atom of another arity matches
+  // nothing.
+  if (!rows.empty() && rows[0].arity() != atom.arity) return true;
+
+  const Arg* args = &args_[atom.first_arg];
+  auto try_row = [&](uint32_t r) {
+    const FactRef row = rows[r];
+    const uint32_t mark = trail_size_;
+    bool match = true;
+    for (uint32_t p = 0; p < atom.arity && match; ++p) {
+      const Arg& arg = args[p];
+      Term v = row.arg(p);
+      if (arg.slot == kNoSlot) {
+        match = v == arg.constant;
+      } else if (slot_plans_[arg.slot].bound) {
+        match = v == slots_[arg.slot];
+      } else {
+        Bind(arg.slot, v);
+      }
+    }
+    bool keep_going = !match || Search(remaining - 1);
+    UndoTo(mark);
+    return keep_going;
+  };
+
+  atom.used = true;
+  bool keep_going = true;
+  const Range range = atom.range;
+  if (best_postings != nullptr) {
+    for (auto it = std::lower_bound(best_postings->begin(),
+                                    best_postings->end(), range.lo);
+         keep_going && it != best_postings->end() && *it < range.hi; ++it) {
+      keep_going = try_row(*it);
+    }
+  } else {
+    const uint32_t end =
+        static_cast<uint32_t>(std::min<size_t>(rows.size(), range.hi));
+    for (uint32_t r = range.lo; keep_going && r < end; ++r) {
+      keep_going = try_row(r);
+    }
+  }
+  atom.used = false;
+  return keep_going;
+}
+
+namespace {
+
+// Writes the values `seed` gives the join's slots into `slots` and returns
+// those slots.
+std::vector<uint32_t> SeedSlots(const CompiledJoin& join,
+                                const Substitution* seed,
+                                std::vector<Term>* slots) {
+  std::vector<uint32_t> seeded;
+  if (seed == nullptr || seed->empty()) return seeded;
+  for (uint32_t s = 0; s < join.num_slots(); ++s) {
+    auto it = seed->find(join.slot_term(s));
+    if (it == seed->end()) continue;
+    (*slots)[s] = it->second;
+    seeded.push_back(s);
+  }
+  return seeded;
+}
+
+// The seed extended by a match's slots.
+Substitution Extend(const CompiledJoin& join, const Substitution* seed,
+                    const Term* slots) {
+  Substitution sub = seed ? *seed : Substitution();
+  for (uint32_t s = 0; s < join.num_slots(); ++s) {
+    sub.emplace(join.slot_term(s), slots[s]);
+  }
+  return sub;
+}
 
 }  // namespace
 
 std::optional<Substitution> FindHomomorphism(const std::vector<Atom>& atoms,
                                              const Instance& target,
                                              const Substitution* seed) {
+  CompiledJoin join(atoms);
+  std::vector<Term> slots(join.num_slots());
+  std::vector<uint32_t> seeded = SeedSlots(join, seed, &slots);
   std::optional<Substitution> found;
-  auto callback = [&](const Substitution& sub) {
-    found = sub;
-    return false;  // stop at first
-  };
-  Substitution sub = seed ? *seed : Substitution();
-  Searcher searcher(atoms, target, callback);
-  searcher.Run(&sub);
+  join.ForEach(
+      target, nullptr, slots.data(),
+      [&](const Term* match) {
+        found = Extend(join, seed, match);
+        return false;  // stop at first
+      },
+      seeded);
   return found;
 }
 
@@ -249,55 +300,13 @@ size_t ForEachHomomorphism(
     const std::vector<Atom>& atoms, const Instance& target,
     const Substitution* seed,
     const std::function<bool(const Substitution&)>& callback) {
-  Substitution sub = seed ? *seed : Substitution();
-  Searcher searcher(atoms, target, callback);
-  searcher.Run(&sub);
-  return searcher.count();
-}
-
-size_t ForEachHomomorphismDelta(
-    const std::vector<Atom>& atoms, const Instance& target,
-    const Substitution* seed, const Instance::DeltaMark& delta,
-    const std::function<bool(const Substitution&)>& callback) {
-  size_t total = 0;
-  // Pivot partitioning: for pivot p, atom p matches inside the delta,
-  // atoms before p match strictly before it, atoms after p match anywhere.
-  // The union over pivots covers every homomorphism touching the delta,
-  // and the partitions are disjoint, so nothing is visited twice.
-  std::vector<AtomRange> ranges(atoms.size());
-  for (size_t p = 0; p < atoms.size(); ++p) {
-    uint32_t begin = target.DeltaBegin(delta, atoms[p].relation);
-    if (begin >= target.FactsOf(atoms[p].relation).size()) {
-      continue;  // no delta facts for this pivot's relation
-    }
-    for (size_t j = 0; j < atoms.size(); ++j) {
-      if (j < p) {
-        ranges[j] = AtomRange{0, target.DeltaBegin(delta, atoms[j].relation)};
-      } else if (j == p) {
-        ranges[j] = AtomRange{begin, UINT32_MAX};
-      } else {
-        ranges[j] = AtomRange{};
-      }
-    }
-    Substitution sub = seed ? *seed : Substitution();
-    Searcher searcher(atoms, target, callback, &ranges);
-    bool keep_going = searcher.Run(&sub);
-    total += searcher.count();
-    if (!keep_going) break;  // callback asked to stop
-  }
-  return total;
-}
-
-std::optional<Substitution> FindHomomorphismDelta(
-    const std::vector<Atom>& atoms, const Instance& target,
-    const Substitution* seed, const Instance::DeltaMark& delta) {
-  std::optional<Substitution> found;
-  ForEachHomomorphismDelta(atoms, target, seed, delta,
-                           [&](const Substitution& sub) {
-                             found = sub;
-                             return false;  // stop at first
-                           });
-  return found;
+  CompiledJoin join(atoms);
+  std::vector<Term> slots(join.num_slots());
+  std::vector<uint32_t> seeded = SeedSlots(join, seed, &slots);
+  return join.ForEach(
+      target, nullptr, slots.data(),
+      [&](const Term* match) { return callback(Extend(join, seed, match)); },
+      seeded);
 }
 
 GoalMatcher::GoalMatcher(const std::vector<Atom>& goal,
@@ -319,15 +328,23 @@ GoalMatcher::GoalMatcher(const std::vector<Atom>& goal,
     }
   }
   // Components in order of their first atom, atoms in goal order.
+  std::vector<std::vector<Atom>> components;
   std::vector<size_t> component_of(goal.size(), SIZE_MAX);
   for (size_t i = 0; i < goal.size(); ++i) {
     size_t root = find(i);
     if (component_of[root] == SIZE_MAX) {
-      component_of[root] = unmatched_.size();
-      unmatched_.emplace_back();
+      component_of[root] = components.size();
+      components.emplace_back();
     }
-    unmatched_[component_of[root]].push_back(goal[i]);
+    components[component_of[root]].push_back(goal[i]);
   }
+  size_t width = 0;
+  unmatched_.reserve(components.size());
+  for (const std::vector<Atom>& component : components) {
+    width = std::max<size_t>(width, unmatched_.emplace_back(component)
+                                        .num_slots());
+  }
+  slots_.resize(width);
 }
 
 bool GoalMatcher::Holds(const Instance& target,
@@ -335,12 +352,15 @@ bool GoalMatcher::Holds(const Instance& target,
   if (delta != nullptr && inject_stale_for_testing_ && delta_checks_++ > 0) {
     return unmatched_.empty();
   }
-  std::erase_if(unmatched_, [&](const std::vector<Atom>& component) {
-    return delta != nullptr
-               ? FindHomomorphismDelta(component, target, nullptr, *delta)
-                     .has_value()
-               : FindHomomorphism(component, target).has_value();
-  });
+  // Every unmatched component is searched, so a component matched now is
+  // never left for a later delta check that could no longer see it.
+  size_t kept = 0;
+  for (size_t i = 0; i < unmatched_.size(); ++i) {
+    if (unmatched_[i].Exists(target, delta, slots_.data())) continue;
+    if (kept != i) unmatched_[kept] = std::move(unmatched_[i]);
+    ++kept;
+  }
+  unmatched_.erase(unmatched_.begin() + kept, unmatched_.end());
   return unmatched_.empty();
 }
 
@@ -349,7 +369,9 @@ bool InstanceHomomorphismExists(const Instance& source,
   std::vector<Atom> atoms;
   atoms.reserve(source.NumFacts());
   source.ForEachFact([&](FactRef f) { atoms.push_back(Fact(f)); });
-  return FindHomomorphism(atoms, target).has_value();
+  CompiledJoin join(atoms);
+  std::vector<Term> slots(join.num_slots());
+  return join.Exists(target, nullptr, slots.data());
 }
 
 }  // namespace rbda

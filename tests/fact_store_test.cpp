@@ -25,8 +25,8 @@ class FactStoreTest : public ::testing::Test {
   RelationId r_, s_, z_;
 };
 
-// Enough rows to span several 1024-row arena blocks; every row must stay
-// findable, deduplicated, and indexed.
+// Enough rows to span several arena blocks (RelationStore::kRowsPerBlock
+// rows each); every row must stay findable, deduplicated, and indexed.
 TEST_F(FactStoreTest, RowsSpanArenaBlockBoundaries) {
   constexpr uint32_t kRows = 3 * RelationStore::kRowsPerBlock + 5;
   Instance inst;

@@ -120,22 +120,23 @@ TEST_F(LogicTest, DeltaHomomorphismSeesOnlyNewMatches) {
   data.AddFact(r_, {a_, c_});
 
   // One atom: only the post-mark fact matches.
-  std::vector<Substitution> found;
-  size_t n = ForEachHomomorphismDelta(
-      {Atom(r_, {x_, y_})}, data, nullptr, mark, [&](const Substitution& sub) {
-        found.push_back(sub);
-        return true;
-      });
+  CompiledJoin join(std::vector<Atom>{Atom(r_, {x_, y_})});
+  std::vector<Term> slots(join.num_slots());
+  ASSERT_EQ(join.slot_term(1), y_);
+  std::vector<Term> found;
+  size_t n = join.ForEach(data, &mark, slots.data(), [&](const Term* s) {
+    found.push_back(s[1]);
+    return true;
+  });
   ASSERT_EQ(n, 1u);
-  EXPECT_EQ(ApplyToTerm(found[0], y_), c_);
+  EXPECT_EQ(found[0], c_);
 
   // An empty delta yields no homomorphisms even though full search has two.
   Instance::DeltaMark now = data.Mark();
-  EXPECT_EQ(ForEachHomomorphismDelta({Atom(r_, {x_, y_})}, data, nullptr, now,
-                                     [](const Substitution&) { return true; }),
+  EXPECT_EQ(join.ForEach(data, &now, slots.data(),
+                         [](const Term*) { return true; }),
             0u);
-  EXPECT_FALSE(FindHomomorphismDelta({Atom(r_, {x_, y_})}, data, nullptr, now)
-                   .has_value());
+  EXPECT_FALSE(join.Exists(data, &now, slots.data()));
 }
 
 TEST_F(LogicTest, DeltaHomomorphismPartitionsWithoutDuplicates) {
@@ -145,17 +146,14 @@ TEST_F(LogicTest, DeltaHomomorphismPartitionsWithoutDuplicates) {
   Instance data;
   data.AddFact(r_, {a_, b_});
   data.AddFact(r_, {b_, c_});
-  size_t before = ForEachHomomorphism(
-      {Atom(r_, {x_, y_}), Atom(r_, {y_, z_})}, data, nullptr,
-      [](const Substitution&) { return true; });
+  CompiledJoin join(std::vector<Atom>{Atom(r_, {x_, y_}), Atom(r_, {y_, z_})});
+  std::vector<Term> slots(join.num_slots());
+  auto all = [](const Term*) { return true; };
+  size_t before = join.ForEach(data, nullptr, slots.data(), all);
   Instance::DeltaMark mark = data.Mark();
   data.AddFact(r_, {c_, a_});  // closes the cycle: 2 new chain matches
-  size_t after = ForEachHomomorphism(
-      {Atom(r_, {x_, y_}), Atom(r_, {y_, z_})}, data, nullptr,
-      [](const Substitution&) { return true; });
-  size_t delta = ForEachHomomorphismDelta(
-      {Atom(r_, {x_, y_}), Atom(r_, {y_, z_})}, data, nullptr, mark,
-      [](const Substitution&) { return true; });
+  size_t after = join.ForEach(data, nullptr, slots.data(), all);
+  size_t delta = join.ForEach(data, &mark, slots.data(), all);
   EXPECT_EQ(before + delta, after);
   EXPECT_EQ(delta, 2u);
 }

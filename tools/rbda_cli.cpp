@@ -3,6 +3,8 @@
 //   rbda decide <schema.rbda> [--finite] [--naive] [--jobs=N]
 //              [--prune=on|off]
 //       Decide monotone answerability of every query in the document.
+//       Every query's line is printed; the exit status is 1 when any
+//       query's decide ended in an error Status (its line reads ERROR).
 //       --jobs=N decides queries concurrently on the task pool (each task
 //       re-parses the document into its own Universe); output is printed
 //       in query order either way, so reports are identical at any job
@@ -83,7 +85,9 @@ int Usage() {
                "usage: rbda <decide|plan|run|containment|simplify|oracle|explain> "
                "<schema.rbda> [args...] [--metrics[=path]] [--trace=path] "
                "[--trace-format=jsonl|chrome] [--profile[=path]] "
-               "[--slow-check-us=N]\n");
+               "[--slow-check-us=N]\n"
+               "decide prints every query's line and exits 1 if any "
+               "query's decide ended in an error Status\n");
   return 2;
 }
 
@@ -260,10 +264,17 @@ const ConjunctiveQuery* FindQuery(const ParsedDocument& doc,
   return &it->second;
 }
 
+// One query's report lines, and whether its decide ended in an error
+// Status.
+struct QueryReport {
+  std::string text;
+  bool failed = false;
+};
+
 // Decides one named query of `doc` and formats its report lines. Pure
 // function of the document content, so batch mode can run it on a
 // re-parsed copy and get text identical to the serial path.
-std::string DecideOneQuery(const ParsedDocument& doc, Universe* universe,
+QueryReport DecideOneQuery(const ParsedDocument& doc, Universe* universe,
                            const std::string& name, const CliOptions& cli) {
   // Attribute this query's containment checks to it in the profiler.
   ScopedProfileLabel profile_label("query:" + name);
@@ -283,7 +294,7 @@ std::string DecideOneQuery(const ParsedDocument& doc, Universe* universe,
   if (!d.ok()) {
     std::snprintf(buf, sizeof(buf), "%-12s ERROR %s\n", name.c_str(),
                   d.status().ToString().c_str());
-    return buf;
+    return {buf, /*failed=*/true};
   }
   // An incomplete verdict names the budget that tripped (rounds vs.
   // facts ask for different tuning).
@@ -299,7 +310,13 @@ std::string DecideOneQuery(const ParsedDocument& doc, Universe* universe,
                 name.c_str(), AnswerabilityName(d->verdict),
                 FragmentName(d->fragment), limited.c_str(),
                 d->procedure.c_str());
-  return buf;
+  return {buf};
+}
+
+// Prints one query's report; returns 1 if its decide failed, else 0.
+int PrintReport(const QueryReport& report) {
+  std::fputs(report.text.c_str(), stdout);
+  return report.failed ? 1 : 0;
 }
 
 int CmdDecide(const ParsedDocument& doc, Universe* universe,
@@ -309,19 +326,20 @@ int CmdDecide(const ParsedDocument& doc, Universe* universe,
   for (const auto& [name, query] : doc.queries) names.push_back(name);
 
   size_t jobs = ResolveJobs(cli.jobs);
+  int status = 0;
   if (jobs <= 1 || names.size() <= 1) {
     for (const std::string& name : names) {
-      std::fputs(DecideOneQuery(doc, universe, name, cli).c_str(), stdout);
+      status |= PrintReport(DecideOneQuery(doc, universe, name, cli));
     }
-    return 0;
+    return status;
   }
 
   // Batch mode. Universe (symbol interning, null minting) is not
   // thread-safe, so each task re-parses the document text into its own
   // Universe and decides one query against that private copy. Reports are
   // collected by query index and printed in document order.
-  StatusOr<std::vector<std::string>> reports = ParallelMap<std::string>(
-      names.size(), jobs, [&](size_t i) -> StatusOr<std::string> {
+  StatusOr<std::vector<QueryReport>> reports = ParallelMap<QueryReport>(
+      names.size(), jobs, [&](size_t i) -> StatusOr<QueryReport> {
         Universe local;
         StatusOr<ParsedDocument> local_doc = ParseDocument(text, &local);
         if (!local_doc.ok()) return local_doc.status();
@@ -332,10 +350,8 @@ int CmdDecide(const ParsedDocument& doc, Universe* universe,
                  reports.status().ToString().c_str());
     return 1;
   }
-  for (const std::string& report : *reports) {
-    std::fputs(report.c_str(), stdout);
-  }
-  return 0;
+  for (const QueryReport& report : *reports) status |= PrintReport(report);
+  return status;
 }
 
 int CmdPlan(const ParsedDocument& doc, Universe* universe,
