@@ -12,23 +12,26 @@ CompiledTgd::CompiledTgd(const Tgd& tgd) : tgd_(&tgd) {
     if (inserted) slot_terms_.push_back(t);
     return std::make_pair(it->second, inserted);
   };
-  for (const Atom& a : tgd.body()) {
-    CompiledAtom atom{a.relation, {}};
+  if (tgd.body().size() == 1) {
+    const Atom& a = tgd.body()[0];
+    body_.relation = a.relation;
     for (Term t : a.args) {
       if (t.IsConstant()) {
-        atom.steps.push_back(Step{Op::kConstant, 0, t});
+        body_.steps.push_back(Step{Op::kConstant, 0, t});
         continue;
       }
       auto [slot, first] = new_slot(t);
-      atom.steps.push_back(Step{first ? Op::kBind : Op::kCheck, slot, t});
+      body_.steps.push_back(Step{first ? Op::kBind : Op::kCheck, slot, t});
     }
-    body_.push_back(std::move(atom));
+  } else {
+    // The join binds the body slots in the caller's slot array, so its
+    // slot order is the plan's.
+    body_join_ = std::make_unique<CompiledJoin>(tgd.body());
+    for (uint32_t s = 0; s < body_join_->num_slots(); ++s) {
+      new_slot(body_join_->slot_term(s));
+    }
   }
   num_body_slots_ = static_cast<uint32_t>(slot_terms_.size());
-  if (body_.size() != 1) {
-    body_join_ = std::make_unique<CompiledJoin>(tgd.body());
-    RBDA_DCHECK(body_join_->num_slots() == num_body_slots_);
-  }
   for (Term y : tgd.ExistentialVariables()) new_slot(y);
   num_slots_ = static_cast<uint32_t>(slot_terms_.size());
 

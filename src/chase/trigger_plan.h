@@ -5,21 +5,22 @@
 //
 // A TGD is compiled once into dense slots: the body variables in
 // first-occurrence order, then the existential variables in
-// ExistentialVariables() order. Every atom position becomes a step that
-// holds a constant, binds a slot (its first occurrence) or checks one. A
-// loop unifies body atoms with rows straight into a slot array, tests
-// activeness and writes head rows from the same array — no Substitution,
-// Instance or std::function per fact or per trigger. TGD atoms hold
-// variables and constants only (the parser and every constructor in
-// src/ build nothing else); any non-constant term is treated as a
-// variable.
+// ExistentialVariables() order. Every position of a single body atom and
+// of the head becomes a step that holds a constant, binds a slot (its
+// first occurrence) or checks one. A loop unifies bodies with rows
+// straight into a slot array, tests activeness and writes head rows from
+// the same array — no Substitution, Instance or std::function per fact or
+// per trigger. TGD atoms hold variables and constants only (the parser
+// and every constructor in src/ build nothing else); any non-constant term
+// is treated as a variable.
 //
 // Body matches come in the search order of logic/homomorphism.h: a single
 // body atom is unified with the relation's rows in row order, and bodies of
 // other sizes go through a CompiledJoin over the body, compiled once per
-// plan, which binds the same body slots in the caller's slot array. Callers
-// that fire in enumeration order therefore run the same chase the generic
-// homomorphism search would.
+// plan, whose slots become the plan's body slots, so the join binds them
+// straight into the caller's slot array. Callers that fire in enumeration
+// order therefore run the same chase the generic homomorphism search
+// would.
 #ifndef RBDA_CHASE_TRIGGER_PLAN_H_
 #define RBDA_CHASE_TRIGGER_PLAN_H_
 
@@ -36,7 +37,7 @@ class CompiledTgd {
   explicit CompiledTgd(const Tgd& tgd);
 
   /// The relation of the body atom; single-atom bodies only.
-  RelationId body_relation() const { return body_[0].relation; }
+  RelationId body_relation() const { return body_.relation; }
   uint32_t num_body_slots() const { return num_body_slots_; }
   /// Body slots followed by the existential slots.
   uint32_t num_slots() const { return num_slots_; }
@@ -48,7 +49,7 @@ class CompiledTgd {
 
   /// Unifies the (single) body atom with `row`, binding the body slots.
   bool MatchBody(FactRef row, Term* slots) const {
-    return Unify(body_[0].steps, row, slots);
+    return Unify(body_.steps, row, slots);
   }
 
   /// Calls `fn(slots)` once per body match in `inst` — every match, or
@@ -60,13 +61,12 @@ class CompiledTgd {
   void ForEachBodyMatch(const Instance& inst,
                         const Instance::DeltaMark* delta, Term* slots,
                         Fn&& fn) {
-    if (body_.size() == 1) {
-      const CompiledAtom& atom = body_[0];
-      FactRange rows = inst.FactsOf(atom.relation);
+    if (body_join_ == nullptr) {
+      FactRange rows = inst.FactsOf(body_.relation);
       const size_t end = rows.size();
-      size_t r = delta != nullptr ? inst.DeltaBegin(*delta, atom.relation) : 0;
+      size_t r = delta != nullptr ? inst.DeltaBegin(*delta, body_.relation) : 0;
       for (; r < end; ++r) {
-        if (Unify(atom.steps, rows[r], slots)) fn(slots);
+        if (Unify(body_.steps, rows[r], slots)) fn(slots);
       }
       return;
     }
@@ -117,7 +117,7 @@ class CompiledTgd {
     Term term;  // the constant, or the variable `slot` stands for
   };
   struct CompiledAtom {
-    RelationId relation;
+    RelationId relation = 0;
     std::vector<Step> steps;
   };
 
@@ -143,12 +143,13 @@ class CompiledTgd {
   }
 
   const Tgd* tgd_;
-  std::vector<CompiledAtom> body_;
-  // The body's join, for bodies of other than one atom; its slots are the
-  // body slots. Held by pointer: a join is several times the size of the
-  // rest of a plan, and most plans have one body atom. Inline, it made
-  // every plan of the countermodel and the generic engine bigger, and their
-  // construction slower (docs/PERFORMANCE.md).
+  // The body atom, for single-atom bodies.
+  CompiledAtom body_;
+  // The join, for bodies of other than one atom; its slots, in its order,
+  // are the body slots. Held by pointer: a join is several times the size
+  // of the rest of a plan, and most plans have one body atom. Inline, it
+  // made every plan of the countermodel and the generic engine bigger, and
+  // their construction slower (docs/PERFORMANCE.md).
   std::unique_ptr<CompiledJoin> body_join_;
   std::vector<CompiledAtom> head_;
   std::vector<Term> slot_terms_;  // the variable behind each slot

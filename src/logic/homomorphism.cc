@@ -24,16 +24,6 @@ std::vector<Atom> ApplyToAtoms(const Substitution& sub,
   return out;
 }
 
-namespace {
-
-// Slot lookup while compiling: a scan over the slots found so far, which
-// beats hashing for the few slots of a query, body or goal; conjunctions
-// with more positions than this (a whole instance as the source, in
-// InstanceHomomorphismExists) use a hash map, so compiling stays linear.
-constexpr size_t kLinearSlotLookup = 64;
-
-}  // namespace
-
 CompiledJoin::CompiledJoin(std::span<const Atom> atoms) {
   size_t num_args = 0;
   for (const Atom& atom : atoms) num_args += atom.args.size();
@@ -42,17 +32,10 @@ CompiledJoin::CompiledJoin(std::span<const Atom> atoms) {
   slot_plans_.reserve(num_args);
   std::unordered_map<Term, uint32_t, TermHash> slot_of;
   auto slot_for = [&](Term t) {
-    uint32_t next = static_cast<uint32_t>(slot_plans_.size());
-    if (num_args > kLinearSlotLookup) {
-      auto [it, inserted] = slot_of.emplace(t, next);
-      if (!inserted) return it->second;
-    } else {
-      for (uint32_t s = 0; s < next; ++s) {
-        if (slot_plans_[s].term == t) return s;
-      }
-    }
-    slot_plans_.emplace_back().term = t;
-    return next;
+    auto [it, inserted] =
+        slot_of.try_emplace(t, static_cast<uint32_t>(slot_plans_.size()));
+    if (inserted) slot_plans_.emplace_back().term = t;
+    return it->second;
   };
   // First pass: slots, and each slot's occurrence count in end_occurrence.
   for (const Atom& atom : atoms) {

@@ -51,11 +51,11 @@ std::vector<Atom> ApplyToAtoms(const Substitution& sub,
 /// A conjunction compiled once for repeated homomorphism search.
 ///
 /// Non-constant terms become dense slots in first-occurrence order (atom by
-/// atom, position by position) — the order CompiledTgd gives a TGD's body
-/// slots. A search unifies candidate rows straight into a caller-owned slot
-/// array and undoes its bindings from a trail; per-slot occurrence lists
-/// keep each atom's bound-position count current. Nothing is hashed or
-/// allocated per candidate row.
+/// atom, position by position); CompiledTgd takes a multi-atom body's slots
+/// from its join. A search unifies candidate rows straight into a
+/// caller-owned slot array and undoes its bindings from a trail; per-slot
+/// occurrence lists keep each atom's bound-position count current. Nothing
+/// is hashed or allocated per candidate row.
 ///
 /// With `delta` non-null a search visits exactly the homomorphisms that map
 /// at least one atom onto a fact appended since `delta` was taken (requires
