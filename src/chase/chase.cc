@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
+#include <numeric>
 #include <unordered_set>
 
 #include "chase/relevance.h"
@@ -23,6 +23,97 @@ const char* ChaseExhaustedName(ChaseExhausted e) {
       return "facts";
   }
   return "?";
+}
+
+namespace {
+
+// The rows of `rows` whose `positions` hold `binding`, counted up to
+// `cap`, walking the shortest posting list of the binding's values. With
+// no positions every row matches.
+uint64_t CountBindingRows(FactRange rows,
+                          const std::vector<uint32_t>& positions,
+                          const Term* binding, uint64_t cap) {
+  if (positions.empty()) return std::min<uint64_t>(rows.size(), cap);
+  const std::vector<uint32_t>* list = nullptr;
+  for (size_t i = 0; i < positions.size(); ++i) {
+    const std::vector<uint32_t>& l = rows.Postings(positions[i], binding[i]);
+    if (list == nullptr || l.size() < list->size()) list = &l;
+  }
+  uint64_t n = 0;
+  for (uint32_t r : *list) {
+    if (n >= cap) break;
+    const FactRef f = rows[r];
+    bool match = true;
+    for (size_t i = 0; i < positions.size() && match; ++i) {
+      match = f.arg(positions[i]) == binding[i];
+    }
+    n += match;
+  }
+  return n;
+}
+
+}  // namespace
+
+void CollectCardinalityBindings(const Instance& instance,
+                                const CardinalityRule& rule,
+                                const Instance::DeltaMark* delta,
+                                CardinalityBindings* out) {
+  const std::vector<uint32_t>& positions = rule.input_positions;
+  const FactRange source = instance.FactsOf(rule.source_rel);
+  std::vector<uint32_t>& rows = out->rows;
+  out->width = positions.size();
+  out->values.clear();
+  out->need.clear();
+  if (delta == nullptr) {
+    rows.resize(source.size());
+    std::iota(rows.begin(), rows.end(), 0u);
+  } else {
+    const uint32_t begin = instance.DeltaBegin(*delta, rule.source_rel);
+    rows.resize(source.size() - begin);
+    std::iota(rows.begin(), rows.end(), begin);
+    if (rule.require_accessible && !positions.empty()) {
+      const FactRange acc = instance.FactsOf(rule.accessible_rel);
+      for (uint32_t a = instance.DeltaBegin(*delta, rule.accessible_rel);
+           a < acc.size(); ++a) {
+        for (uint32_t p : positions) {
+          const std::vector<uint32_t>& l = source.Postings(p, acc[a].arg(0));
+          rows.insert(rows.end(), l.begin(), l.end());
+        }
+      }
+    }
+  }
+  // Orders rows by their binding, as a std::map keyed by the binding
+  // would; rows with equal bindings are then adjacent.
+  auto less = [&](uint32_t a, uint32_t b) {
+    const FactRef x = source[a];
+    const FactRef y = source[b];
+    for (uint32_t p : positions) {
+      if (x.arg(p) != y.arg(p)) return x.arg(p) < y.arg(p);
+    }
+    return false;
+  };
+  std::sort(rows.begin(), rows.end(), less);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i > 0 && !less(rows[i - 1], rows[i])) continue;  // same binding
+    const FactRef f = source[rows[i]];
+    if (rule.require_accessible &&
+        !std::all_of(positions.begin(), positions.end(), [&](uint32_t p) {
+          return instance.ContainsRow(rule.accessible_rel,
+                                      f.args().subspan(p, 1));
+        })) {
+      continue;
+    }
+    for (uint32_t p : positions) out->values.push_back(f.arg(p));
+    out->need.push_back(CountBindingRows(
+        source, positions, out->binding(out->need.size()), rule.bound));
+  }
+}
+
+uint64_t CountCardinalityTargets(const Instance& instance,
+                                 const CardinalityRule& rule,
+                                 const Term* binding, uint64_t cap) {
+  return CountBindingRows(instance.FactsOf(rule.target_rel),
+                          rule.input_positions, binding, cap);
 }
 
 namespace {
@@ -201,7 +292,7 @@ class Engine {
       return false;
     };
 
-    if (!ApplyFdsToFixpoint()) {
+    if (!ApplyFdsToFixpoint(nullptr)) {
       result_.status = ChaseStatus::kFdConflict;
       return std::move(result_);
     }
@@ -240,7 +331,10 @@ class Engine {
              {"facts", static_cast<int64_t>(result_.instance.NumFacts())}},
             {{"mode", semi ? "delta" : "full"}});
       }
-      if (!ApplyFdsToFixpoint()) {
+      // Firing only appends, so round_mark still delimits this round's
+      // facts for the FD check.
+      RBDA_DCHECK(result_.instance.MarkValid(round_mark));
+      if (!ApplyFdsToFixpoint(&round_mark)) {
         result_.status = ChaseStatus::kFdConflict;
         return std::move(result_);
       }
@@ -341,109 +435,44 @@ class Engine {
   }
 
   // Fires the naive §3 cardinality-transfer rules: see CardinalityRule.
-  // Semi-naive (`delta` non-null): a binding can only newly need witnesses
-  // if a delta fact raised its source-match count or newly made one of its
-  // values accessible, so all other bindings are skipped — they were
-  // satisfied when last processed, and `have` only grows while `j` grows
-  // only through new source facts.
+  // Semi-naive (`delta` non-null): only the bindings that can newly need
+  // witnesses are checked (CollectCardinalityBindings); the others were
+  // satisfied when last checked, and `have` only grows while `j` grows
+  // only through new source facts. Each binding's `have` is counted when
+  // it is processed, so it sees the rule's own earlier firings.
   uint64_t FireCardinalityRound(const Instance::DeltaMark* delta) {
     uint64_t fired = 0;
+    Instance& inst = result_.instance;
     for (size_t ri = 0; ri < rules_.size(); ++ri) {
       if (!rule_enabled_.empty() && !rule_enabled_[ri]) continue;  // pruned
       const CardinalityRule& rule = rules_[ri];
-      std::set<std::vector<Term>> dirty;  // bindings with new source facts
-      TermSet newly_accessible;
-      if (delta != nullptr) {
-        FactRange src = result_.instance.FactsOf(rule.source_rel);
-        for (uint32_t i = result_.instance.DeltaBegin(*delta, rule.source_rel);
-             i < src.size(); ++i) {
-          std::vector<Term> key;
-          key.reserve(rule.input_positions.size());
-          for (uint32_t p : rule.input_positions) {
-            key.push_back(src[i].arg(p));
-          }
-          dirty.insert(std::move(key));
-        }
-        if (rule.require_accessible) {
-          FactRange acc = result_.instance.FactsOf(rule.accessible_rel);
-          for (uint32_t i =
-                   result_.instance.DeltaBegin(*delta, rule.accessible_rel);
-               i < acc.size(); ++i) {
-            newly_accessible.insert(acc[i].arg(0));
-          }
-        }
-        if (dirty.empty() && newly_accessible.empty()) continue;
-      }
-      // Group source facts by their input-position tuple.
-      std::map<std::vector<Term>, std::set<std::vector<Term>>> groups;
-      for (FactRef f : result_.instance.FactsOf(rule.source_rel)) {
-        std::vector<Term> key;
-        key.reserve(rule.input_positions.size());
-        for (uint32_t p : rule.input_positions) key.push_back(f.arg(p));
-        groups[std::move(key)].insert(
-            std::vector<Term>(f.args().begin(), f.args().end()));
-      }
-      for (const auto& [binding, matches] : groups) {
-        if (delta != nullptr && dirty.count(binding) == 0) {
-          bool touched = false;
-          for (Term t : binding) {
-            if (newly_accessible.count(t) > 0) {
-              touched = true;
-              break;
-            }
-          }
-          if (!touched) continue;
-        }
-        // The binding values must all be accessible (unless the rule is
-        // unconditional).
-        if (rule.require_accessible) {
-          bool accessible = true;
-          for (Term t : binding) {
-            if (!result_.instance.ContainsRow(rule.accessible_rel, {&t, 1})) {
-              accessible = false;
-              break;
-            }
-          }
-          if (!accessible) continue;
-        }
-        uint64_t j = std::min<uint64_t>(rule.bound, matches.size());
-        // Count distinct target facts matching the binding.
-        uint64_t have = 0;
-        for (FactRef f : result_.instance.FactsOf(rule.target_rel)) {
-          bool match = true;
-          for (size_t idx = 0; idx < rule.input_positions.size(); ++idx) {
-            if (f.arg(rule.input_positions[idx]) != binding[idx]) {
-              match = false;
-              break;
-            }
-          }
-          if (match) ++have;
-        }
-        uint32_t arity = universe_->Arity(rule.target_rel);
-        while (have < j) {
-          std::vector<Term> args(arity, Term());
-          std::vector<bool> is_input(arity, false);
-          for (size_t idx = 0; idx < rule.input_positions.size(); ++idx) {
-            args[rule.input_positions[idx]] = binding[idx];
-            is_input[rule.input_positions[idx]] = true;
-          }
+      CollectCardinalityBindings(inst, rule, delta, &bindings_);
+      const std::vector<uint32_t>& inputs = rule.input_positions;
+      const uint32_t arity = universe_->Arity(rule.target_rel);
+      for (size_t b = 0; b < bindings_.size(); ++b) {
+        const Term* binding = bindings_.binding(b);
+        const uint64_t j = bindings_.need[b];
+        for (uint64_t have = CountCardinalityTargets(inst, rule, binding, j);
+             have < j; ++have) {
+          row_.resize(arity);
           for (uint32_t p = 0; p < arity; ++p) {
-            if (!is_input[p]) args[p] = universe_->FreshNull();
+            if (std::find(inputs.begin(), inputs.end(), p) == inputs.end()) {
+              row_[p] = universe_->FreshNull();
+            }
+          }
+          for (size_t idx = 0; idx < inputs.size(); ++idx) {
+            row_[inputs[idx]] = binding[idx];
           }
           bool inserted = false;
-          if (!result_.instance
-                   .TryAddRow(rule.target_rel, {args.data(), args.size()},
-                              &inserted)
-                   .ok()) {
+          if (!inst.TryAddRow(rule.target_rel, row_, &inserted).ok()) {
             // Row-id space exhausted: degrade as a fact-budget trip.
             budget_tripped_ = true;
             return fired;
           }
-          ++have;
           ++fired;
           Metrics().triggers_cardinality->Increment();
           Metrics().facts_created->Increment();
-          if (result_.instance.NumFacts() > options_.max_facts) {
+          if (inst.NumFacts() > options_.max_facts) {
             // Stop at the point of violation: a single rule with a large
             // bound must not blow past the fact budget within one round.
             budget_tripped_ = true;
@@ -455,6 +484,46 @@ class Engine {
     return fired;
   }
 
+  // True when a fact of `inst` added since `since` (any fact when `since`
+  // is null) violates an FD. The older facts satisfy every FD: the
+  // previous call left a fixpoint, and only appends happened since. So a
+  // violation has a new fact in it, and a new fact is in one iff it
+  // disagrees with the first row, in row order, holding its determiner
+  // values: two rows that both agree with that row agree with each other.
+  // That first row is found by walking the shortest column posting of the
+  // fact's determiner values; the fact itself ends the walk at the latest.
+  bool NewFactViolatesFd(const Instance::DeltaMark* since) const {
+    const Instance& inst = result_.instance;
+    for (const Fd& fd : constraints_.fds) {
+      const FactRange rows = inst.FactsOf(fd.relation);
+      for (uint32_t r = since ? inst.DeltaBegin(*since, fd.relation) : 0;
+           r < rows.size(); ++r) {
+        const FactRef f = rows[r];
+        uint32_t first = 0;  // no determiners: every row shares the key
+        if (!fd.determiners.empty()) {
+          const std::vector<uint32_t>* list = nullptr;
+          for (uint32_t p : fd.determiners) {
+            const std::vector<uint32_t>& l = rows.Postings(p, f.arg(p));
+            if (list == nullptr || l.size() < list->size()) list = &l;
+          }
+          for (uint32_t q : *list) {
+            const FactRef g = rows[q];
+            first = q;
+            if (q == r ||
+                std::all_of(fd.determiners.begin(), fd.determiners.end(),
+                            [&](uint32_t p) { return g.arg(p) == f.arg(p); })) {
+              break;
+            }
+          }
+        }
+        if (rows[first].arg(fd.determined) != f.arg(fd.determined)) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
   // Repairs FD violations by merging terms. Returns false on an attempt to
   // merge two distinct constants (the chase fails).
   //
@@ -464,9 +533,13 @@ class Engine {
   // restarting the scan — the old behaviour was quadratic in the length of
   // merge chains. Scans repeat, resolving terms through the union-find,
   // until a full pass over all FDs finds no new merge; that final clean
-  // pass certifies the fixpoint.
-  bool ApplyFdsToFixpoint() {
-    if (constraints_.fds.empty()) return true;
+  // pass certifies the fixpoint. The loop runs only when
+  // NewFactViolatesFd finds a violation among the facts added since
+  // `since`: that is exactly when its first pass, with nothing resolved
+  // yet, would merge, so merges and their order are those of the loop
+  // alone.
+  bool ApplyFdsToFixpoint(const Instance::DeltaMark* since) {
+    if (constraints_.fds.empty() || !NewFactViolatesFd(since)) return true;
     std::unordered_map<Term, Term, TermHash> parent;
     auto find = [&](Term t) {
       Term root = t;
@@ -541,6 +614,8 @@ class Engine {
   std::vector<Term> triggers_;
   std::vector<Term> row_;
   std::vector<FactRef> created_;
+  // One rule's bindings, reused by every cardinality round.
+  CardinalityBindings bindings_;
   // Per-index relevance filter for the rules (empty = fire every rule).
   std::vector<bool> rule_enabled_;
   // Set by the firing helpers when a firing pushed the instance past

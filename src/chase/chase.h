@@ -23,11 +23,26 @@
 // (chase/trigger_plan.h): triggers are materialized as slot tuples,
 // deduplicated by their exported slots, and fired from the slots.
 //
+// FD repair runs after every round (and once before round 1). It first
+// checks only the facts added since the previous repair (every fact on the
+// first call): each is compared with the first row, in row order, holding
+// its determiner values, found through a column posting. The older facts
+// satisfy every FD, so a violation exists iff one of these comparisons
+// disagrees; only then does the union-find merge loop run (DESIGN.md, "The
+// delta FD check and delta cardinality rounds"). The check is exact, so it
+// does not depend on use_semi_naive.
+//
 // The engine also supports the cardinality-transfer rules produced by the
 // *naive* AMonDet reduction of §3 — the "∃≥j" accessibility axioms for
 // result lower bounds — under the standard chase convention that distinct
-// terms denote distinct values. The paper's simplification theorems make
-// these rules unnecessary; they are kept for the ablation benchmarks.
+// terms denote distinct values. The decider's IDs+FDs path, which no
+// simplification theorem covers, runs on them, as does the force_naive
+// ablation. A delta round checks only the bindings that can newly need
+// witnesses: those of source rows in the delta, and those of source rows
+// holding a newly accessible term at an input position (found through
+// postings). A full round checks every binding. Either way bindings are
+// visited in lexicographic order, so fresh nulls are minted in one order
+// (CollectCardinalityBindings).
 #ifndef RBDA_CHASE_CHASE_H_
 #define RBDA_CHASE_CHASE_H_
 
@@ -52,6 +67,41 @@ struct CardinalityRule {
   /// accessibility (AxiomRB's unconditional lower-bound axioms).
   bool require_accessible = true;
 };
+
+/// The bindings one round checks a cardinality rule for, filled by
+/// CollectCardinalityBindings; reused across rounds to keep its storage.
+struct CardinalityBindings {
+  size_t width = 0;             // rule.input_positions.size()
+  std::vector<Term> values;     // binding i is values[i * width, +width)
+  std::vector<uint64_t> need;   // binding i's j, min(bound, #source rows)
+  std::vector<uint32_t> rows;   // scratch: candidate source rows
+
+  size_t size() const { return need.size(); }
+  const Term* binding(size_t i) const { return values.data() + i * width; }
+};
+
+/// Collects the bindings of `rule` over `instance` that a round checks,
+/// each once, in ascending lexicographic order of their values
+/// (Term::operator<). With `delta` null, the binding of every source row;
+/// otherwise only those of source rows in the delta and of source rows
+/// holding, at an input position, a term added to the accessible relation
+/// in the delta: no other binding's source count or accessibility changed,
+/// and its target count only grew. A binding with a value outside the
+/// accessible relation is dropped unless the rule is unconditional. The
+/// chase's firings cannot change that: a fired row's input values are
+/// accessible already and its other values are fresh nulls. need[i] =
+/// min(bound, number of source rows holding binding i), counted now,
+/// before the caller fires anything. `delta` must be valid for `instance`.
+void CollectCardinalityBindings(const Instance& instance,
+                                const CardinalityRule& rule,
+                                const Instance::DeltaMark* delta,
+                                CardinalityBindings* out);
+
+/// The rows of rule.target_rel whose input positions hold `binding`,
+/// counted through column postings up to `cap`.
+uint64_t CountCardinalityTargets(const Instance& instance,
+                                 const CardinalityRule& rule,
+                                 const Term* binding, uint64_t cap);
 
 struct ChaseOptions {
   uint64_t max_rounds = 1000;

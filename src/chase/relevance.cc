@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
-#include <set>
 #include <string>
 
 #include "chase/trigger_plan.h"
@@ -211,6 +209,7 @@ std::optional<Instance> CounterModelRefutesGoals(
   // matches touching `delta`, the previous round's facts.
   Instance::DeltaMark delta;
   std::vector<Term> head_row;
+  CardinalityBindings bindings;
   bool saturated = false;
   for (size_t round = 0; round < max_rounds && !saturated; ++round) {
     std::vector<Fact> pending;
@@ -229,41 +228,14 @@ std::optional<Instance> CounterModelRefutesGoals(
     }
     for (size_t ri = 0; ri < rules.size(); ++ri) {
       const CardinalityRule& rule = rules[ri];
-      // Mirror FireCardinalityRound: group source facts by their
-      // input-position tuple, demand min(bound, #matches) distinct
-      // targets per accessible binding.
-      std::map<std::vector<Term>, std::set<std::vector<Term>>> groups;
-      for (FactRef f : m.FactsOf(rule.source_rel)) {
-        std::vector<Term> key;
-        key.reserve(rule.input_positions.size());
-        for (uint32_t p : rule.input_positions) key.push_back(f.arg(p));
-        groups[std::move(key)].insert(
-            std::vector<Term>(f.args().begin(), f.args().end()));
-      }
+      // Mirror FireCardinalityRound, in full every round: demand
+      // min(bound, #matches) distinct targets per accessible binding.
+      CollectCardinalityBindings(m, rule, nullptr, &bindings);
       uint32_t arity = universe->Arity(rule.target_rel);
-      for (const auto& [binding, matches] : groups) {
-        if (rule.require_accessible) {
-          bool accessible = true;
-          for (Term t : binding) {
-            if (!m.ContainsRow(rule.accessible_rel, {&t, 1})) {
-              accessible = false;
-              break;
-            }
-          }
-          if (!accessible) continue;
-        }
-        uint64_t j = std::min<uint64_t>(rule.bound, matches.size());
-        uint64_t have = 0;
-        for (FactRef f : m.FactsOf(rule.target_rel)) {
-          bool match = true;
-          for (size_t idx = 0; idx < rule.input_positions.size(); ++idx) {
-            if (f.arg(rule.input_positions[idx]) != binding[idx]) {
-              match = false;
-              break;
-            }
-          }
-          if (match) ++have;
-        }
+      for (size_t b = 0; b < bindings.size(); ++b) {
+        const Term* binding = bindings.binding(b);
+        uint64_t j = bindings.need[b];
+        uint64_t have = CountCardinalityTargets(m, rule, binding, j);
         // Top up with canonical copies. A canonical copy already in the
         // model was counted in `have`, so this cannot loop forever.
         for (uint64_t c = 0; c < j && have < j; ++c) {
@@ -277,14 +249,9 @@ std::optional<Instance> CounterModelRefutesGoals(
           }
           Fact f;
           f.relation = rule.target_rel;
-          f.args.assign(arity, Term());
-          std::vector<bool> is_input(arity, false);
+          f.args = rule_nulls[ri][c];
           for (size_t idx = 0; idx < rule.input_positions.size(); ++idx) {
             f.args[rule.input_positions[idx]] = binding[idx];
-            is_input[rule.input_positions[idx]] = true;
-          }
-          for (uint32_t p = 0; p < arity; ++p) {
-            if (!is_input[p]) f.args[p] = rule_nulls[ri][c][p];
           }
           if (m.Contains(f)) continue;  // counted in `have` already
           pending.push_back(std::move(f));

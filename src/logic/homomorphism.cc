@@ -191,7 +191,8 @@ bool CompiledJoin::Search(size_t remaining) {
   // nothing.
   if (!rows.empty() && rows[0].arity() != atom.arity) return true;
 
-  const Arg* args = &args_[atom.first_arg];
+  // A nullary last atom starts one past the end: no element is formed.
+  const Arg* args = args_.data() + atom.first_arg;
   auto try_row = [&](uint32_t r) {
     const FactRef row = rows[r];
     const uint32_t mark = trail_size_;

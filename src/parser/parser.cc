@@ -1,6 +1,8 @@
 #include "parser/parser.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <sstream>
 
 #include "base/str_util.h"
@@ -121,13 +123,24 @@ StatusOr<std::string> ExpectIdent(Lexer* lex) {
   return t->text;
 }
 
+// A number token (all digits) as a uint32_t. A value past 2^32 - 1 is an
+// error, never a wrapped value or an exception.
+StatusOr<uint32_t> ToNumber(const Token& t) {
+  if (t.kind != Token::kNumber) {
+    return Status::InvalidArgument("expected number, got '" + t.text + "'");
+  }
+  uint32_t value = 0;
+  if (std::from_chars(t.text.data(), t.text.data() + t.text.size(), value)
+          .ec != std::errc()) {
+    return Status::InvalidArgument("number '" + t.text + "' is out of range");
+  }
+  return value;
+}
+
 StatusOr<uint32_t> ExpectNumber(Lexer* lex) {
   StatusOr<Token> t = lex->Next();
   RBDA_RETURN_IF_ERROR(t.status());
-  if (t->kind != Token::kNumber) {
-    return Status::InvalidArgument("expected number, got '" + t->text + "'");
-  }
-  return static_cast<uint32_t>(std::stoul(t->text));
+  return ToNumber(*t);
 }
 
 // Parses "R(arg, arg, ...)" where bare identifiers become variables and
@@ -293,10 +306,20 @@ Status ParseFdLine(Lexer* lex, ServiceSchema* schema) {
     if (t->kind != Token::kNumber) {
       return Status::InvalidArgument("expected position number in FD");
     }
-    lhs.push_back(static_cast<uint32_t>(std::stoul(t->text)));
+    StatusOr<uint32_t> pos = ToNumber(*t);
+    RBDA_RETURN_IF_ERROR(pos.status());
+    lhs.push_back(*pos);
   }
   StatusOr<uint32_t> rhs = ExpectNumber(lex);
   RBDA_RETURN_IF_ERROR(rhs.status());
+  // The chase reads these positions of every row, so they must exist, as
+  // a method's input positions must (ServiceSchema::AddMethod).
+  const uint32_t arity = schema->universe().Arity(rel);
+  if (*rhs >= arity || std::any_of(lhs.begin(), lhs.end(),
+                                   [&](uint32_t p) { return p >= arity; })) {
+    return Status::InvalidArgument("FD on '" + *rel_name +
+                                   "' has a position out of range");
+  }
   schema->constraints().fds.emplace_back(rel, std::move(lhs), *rhs);
   return Status::Ok();
 }

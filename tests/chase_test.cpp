@@ -315,6 +315,185 @@ TEST_F(ChaseTest, CardinalityRuleRespectsExistingWitnesses) {
   EXPECT_EQ(result.instance.FactsOf(racc).size(), 2u);
 }
 
+// ---- The delta FD check and delta cardinality rounds. ----
+//
+// Each case runs the semi-naive and the naive engine: the FD check is the
+// same in both, and a naive run re-checks every cardinality binding each
+// round, so the two must agree on every count.
+
+TEST_F(ChaseTest, FdViolatedOnlyBetweenTwoNewFacts) {
+  // Round 1 adds R(a, n1) and R(a, n2) in one firing. Neither disagrees
+  // with an older fact (R(b, c) has another key), so only comparing the
+  // second new fact with the first new row of its key finds the merge.
+  // W's FD comes first and has two determiners: for W(b, a, n2) the walk
+  // skips W(b, b, c), whose first determiner alone agrees.
+  RelationId w = *universe_.AddRelation("W", 3);
+  ConstraintSet cs;
+  cs.fds.emplace_back(w, std::vector<uint32_t>{0, 1}, 2);
+  cs.fds.emplace_back(r_, std::vector<uint32_t>{0}, 1);
+  cs.tgds.emplace_back(
+      std::vector<Atom>{Atom(t_, {x_})},
+      std::vector<Atom>{Atom(r_, {x_, y_}), Atom(r_, {x_, z_}),
+                        Atom(w, {b_, x_, y_}), Atom(w, {b_, x_, z_})});
+  Instance start;
+  start.AddFact(t_, {a_});
+  start.AddFact(r_, {b_, c_});
+  start.AddFact(w, {b_, b_, c_});
+  start.AddFact(w, {c_, a_, c_});
+  for (bool semi : {true, false}) {
+    ChaseOptions options;
+    options.use_semi_naive = semi;
+    ChaseResult result = RunChase(start, cs, &universe_, options);
+    EXPECT_EQ(result.status, ChaseStatus::kCompleted);
+    EXPECT_EQ(result.egd_merges, 1u) << "semi=" << semi;
+    EXPECT_EQ(result.instance.FactsOf(r_).size(), 2u);
+    EXPECT_EQ(result.instance.FactsOf(w).size(), 3u);
+    EXPECT_TRUE(cs.SatisfiedBy(result.instance));
+  }
+}
+
+TEST_F(ChaseTest, FdWithNoDeterminersComparesWithTheFirstRow) {
+  // "fd R: -> 1": every R fact shares position 1. The new R(a, n) is
+  // compared with row 0, R(b, c), and n merges into c.
+  ConstraintSet cs;
+  cs.fds.emplace_back(r_, std::vector<uint32_t>{}, 1);
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(t_, {x_})},
+                       std::vector<Atom>{Atom(r_, {x_, y_})});
+  Instance start;
+  start.AddFact(r_, {b_, c_});
+  start.AddFact(t_, {a_});
+  ChaseResult result = RunChase(start, cs, &universe_);
+  EXPECT_EQ(result.status, ChaseStatus::kCompleted);
+  EXPECT_EQ(result.egd_merges, 1u);
+  EXPECT_TRUE(result.instance.Contains(Fact(r_, {a_, c_})));
+  EXPECT_EQ(result.instance.FactsOf(r_).size(), 2u);
+
+  // Two constants at position 1 conflict, whatever their keys.
+  Instance conflict;
+  conflict.AddFact(r_, {a_, b_});
+  conflict.AddFact(r_, {c_, c_});
+  EXPECT_EQ(RunChase(conflict, cs, &universe_).status,
+            ChaseStatus::kFdConflict);
+}
+
+// Counts the facts of `relation` whose position 0 holds `value`.
+size_t CountWithFirst(const Instance& inst, RelationId relation, Term value) {
+  size_t n = 0;
+  for (FactRef f : inst.FactsOf(relation)) n += f.arg(0) == value;
+  return n;
+}
+
+TEST_F(ChaseTest, CardinalityBindingAccessibleInALaterRound) {
+  // R(a, b) and R(a, c) are in the start instance, but a becomes
+  // accessible only in round 2 (T -> U in round 1, then U -> acc). No
+  // source fact is in round 2's delta, so the binding is found through
+  // the postings of the newly accessible a.
+  RelationId acc = *universe_.AddRelation("acc", 1);
+  RelationId u = *universe_.AddRelation("U", 1);
+  RelationId racc = *universe_.AddRelation("Racc", 2);
+  CardinalityRule rule{r_, {0}, racc, 5, acc};
+  ConstraintSet cs;
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(u, {x_})},
+                       std::vector<Atom>{Atom(acc, {x_})});
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(t_, {x_})},
+                       std::vector<Atom>{Atom(u, {x_})});
+  Instance start;
+  start.AddFact(t_, {a_});
+  start.AddFact(r_, {a_, b_});
+  start.AddFact(r_, {a_, c_});
+  start.AddFact(r_, {b_, c_});  // b never becomes accessible
+  for (bool semi : {true, false}) {
+    ChaseOptions options;
+    options.use_semi_naive = semi;
+    ChaseResult result = RunChase(start, cs, &universe_, options, {rule});
+    EXPECT_EQ(result.status, ChaseStatus::kCompleted);
+    EXPECT_EQ(CountWithFirst(result.instance, racc, a_), 2u)
+        << "semi=" << semi;
+    EXPECT_EQ(CountWithFirst(result.instance, racc, b_), 0u);
+  }
+}
+
+TEST_F(ChaseTest, CardinalityInputFreeMethod) {
+  // An input-free method's rule has one empty binding, accessible
+  // vacuously. R grows from 1 to 3 facts in round 2 (T -> U, then
+  // U -> R), so the binding, dirty again, needs min(4, 3) = 3 witnesses.
+  RelationId acc = *universe_.AddRelation("acc", 1);
+  RelationId u = *universe_.AddRelation("U", 1);
+  RelationId racc = *universe_.AddRelation("Racc", 2);
+  CardinalityRule rule{r_, {}, racc, 4, acc};
+  ConstraintSet cs;
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(u, {x_})},
+                       std::vector<Atom>{Atom(r_, {x_, y_})});
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(t_, {x_})},
+                       std::vector<Atom>{Atom(u, {x_})});
+  Instance start;
+  start.AddFact(r_, {c_, c_});
+  start.AddFact(t_, {a_});
+  start.AddFact(t_, {b_});
+  for (bool semi : {true, false}) {
+    ChaseOptions options;
+    options.use_semi_naive = semi;
+    ChaseResult result = RunChase(start, cs, &universe_, options, {rule});
+    EXPECT_EQ(result.status, ChaseStatus::kCompleted);
+    EXPECT_EQ(result.instance.FactsOf(r_).size(), 3u);
+    EXPECT_EQ(result.instance.FactsOf(racc).size(), 3u) << "semi=" << semi;
+    for (FactRef f : result.instance.FactsOf(racc)) {
+      EXPECT_TRUE(f.arg(0).IsNull() && f.arg(1).IsNull());
+    }
+  }
+}
+
+TEST_F(ChaseTest, CardinalityBoundAboveSourceCount) {
+  // Bound 5 over two source facts for a demands two witnesses, not five;
+  // source facts for a derived in a later round raise the demand.
+  RelationId acc = *universe_.AddRelation("acc", 1);
+  RelationId u = *universe_.AddRelation("U", 1);
+  RelationId racc = *universe_.AddRelation("Racc", 2);
+  CardinalityRule rule{r_, {0}, racc, 5, acc};
+  ConstraintSet cs;
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(u, {x_})},
+                       std::vector<Atom>{Atom(r_, {x_, y_})});
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(t_, {x_})},
+                       std::vector<Atom>{Atom(u, {x_})});
+  Instance start;
+  start.AddFact(acc, {a_});
+  start.AddFact(r_, {a_, b_});
+  start.AddFact(r_, {a_, c_});
+  start.AddFact(t_, {a_});
+  for (bool semi : {true, false}) {
+    ChaseOptions options;
+    options.use_semi_naive = semi;
+    ChaseResult result = RunChase(start, cs, &universe_, options, {rule});
+    EXPECT_EQ(result.status, ChaseStatus::kCompleted);
+    // U -> R(a, y) is inactive (R(a, b) witnesses it): two witnesses.
+    EXPECT_EQ(CountWithFirst(result.instance, racc, a_), 2u)
+        << "semi=" << semi;
+  }
+  // Here round 2 derives R(a, b) and R(a, a) (V -> R(a, x)), so the
+  // binding a goes from one source fact to three.
+  Instance grow;
+  grow.AddFact(acc, {a_});
+  grow.AddFact(r_, {b_, b_});
+  grow.AddFact(r_, {a_, c_});
+  grow.AddFact(t_, {b_});
+  grow.AddFact(t_, {a_});
+  RelationId v = *universe_.AddRelation("V", 1);
+  ConstraintSet cs2;
+  cs2.tgds.emplace_back(std::vector<Atom>{Atom(v, {x_})},
+                        std::vector<Atom>{Atom(r_, {a_, x_})});
+  cs2.tgds.emplace_back(std::vector<Atom>{Atom(t_, {x_})},
+                        std::vector<Atom>{Atom(v, {x_})});
+  for (bool semi : {true, false}) {
+    ChaseOptions options;
+    options.use_semi_naive = semi;
+    ChaseResult result = RunChase(grow, cs2, &universe_, options, {rule});
+    EXPECT_EQ(result.status, ChaseStatus::kCompleted);
+    EXPECT_EQ(CountWithFirst(result.instance, r_, a_), 3u);
+    EXPECT_EQ(CountWithFirst(result.instance, racc, a_), 3u)
+        << "semi=" << semi;
+  }
+}
+
 // ---- Pins of the generic engine's trigger path. ----
 //
 // Each case renders the whole run — rounds, firings, every recorded

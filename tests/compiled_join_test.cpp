@@ -514,5 +514,26 @@ TEST_F(CompiledJoinDifferentialTest, ExistenceFollowsAGrowingInstance) {
   }
 }
 
+TEST(CompiledJoinTest, NullaryLastAtomChosenFirst) {
+  // N() has one row and R two, so the search starts from N(), the last
+  // atom, whose arguments begin one past the end of the argument array.
+  Universe u;
+  RelationId r = *u.AddRelation("R", 2);
+  RelationId n = *u.AddRelation("N", 0);
+  Term x = u.Variable("x");
+  Term y = u.Variable("y");
+  Instance inst;
+  inst.AddFact(r, {u.Constant("a"), u.Constant("b")});
+  inst.AddFact(r, {u.Constant("b"), u.Constant("c")});
+  inst.AddFact(n, std::vector<Term>{});
+  std::vector<Atom> atoms{Atom(r, {x, y}), Atom(n, {})};
+  CompiledJoin join(atoms);
+  std::vector<Term> slots(join.num_slots());
+  EXPECT_EQ(join.ForEach(inst, nullptr, slots.data(),
+                         [](const Term*) { return true; }),
+            2u);
+  EXPECT_TRUE(join.Exists(inst, nullptr, slots.data()));
+}
+
 }  // namespace
 }  // namespace rbda

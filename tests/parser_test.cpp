@@ -1,5 +1,9 @@
 #include "parser/parser.h"
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "gtest/gtest.h"
 #include "paper_fixtures.h"
 
@@ -82,6 +86,62 @@ TEST(ParserTest, ErrorsAreReported) {
   // Unterminated string.
   EXPECT_FALSE(
       ParseDocument("relation R(a)\nfact R(\"x)", &universe).ok());
+}
+
+// Reads a document under tests/data.
+std::string ReadTestData(const std::string& file) {
+  std::ifstream in(std::string(RBDA_TEST_DATA_DIR) + "/" + file);
+  EXPECT_TRUE(in.is_open()) << file;
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(ParserTest, NumbersPastTheirRangeAreInvalidArguments) {
+  // Past 2^64 std::stoul threw; past 2^32 the cast wrapped 4294967297 to a
+  // bound of 1. Both are refused, on the line that holds them.
+  for (const std::string& text :
+       {ReadTestData("huge_limit.rbda"),
+        std::string("relation R(a, b)\n"
+                    "method m on R inputs(0) limit 4294967297\n"),
+        std::string("relation R(a, b)\n"
+                    "method m on R inputs(4294967296)\n"),
+        std::string("relation R(a, b)\n"
+                    "fd R: 99999999999999999999999 -> 1\n")}) {
+    Universe universe;
+    StatusOr<ParsedDocument> doc = ParseDocument(text, &universe);
+    ASSERT_FALSE(doc.ok()) << text;
+    EXPECT_EQ(doc.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(doc.status().message().find("out of range"), std::string::npos)
+        << doc.status().ToString();
+  }
+  // The largest bound still parses.
+  Universe universe;
+  ParsedDocument doc = MustParse(
+      "relation R(a, b)\nmethod m on R inputs(0) limit 4294967295\n",
+      &universe);
+  EXPECT_EQ(doc.schema.FindMethod("m")->bound, 4294967295u);
+}
+
+TEST(ParserTest, FdPositionsAreCheckedAgainstTheArity) {
+  Universe universe;
+  StatusOr<ParsedDocument> doc =
+      ParseDocument(ReadTestData("fd_out_of_range.rbda"), &universe);
+  ASSERT_FALSE(doc.ok());
+  EXPECT_EQ(doc.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(doc.status().message().find("line 6"), std::string::npos)
+      << doc.status().ToString();
+  for (const char* fd : {"fd R: 2 -> 1", "fd R: 0 -> 2", "fd R: 0, 5 -> 1"}) {
+    Universe u;
+    EXPECT_EQ(ParseDocument(std::string("relation R(a, b)\n") + fd, &u)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << fd;
+  }
+  Universe u;
+  ParsedDocument ok = MustParse("relation R(a, b)\nfd R: -> 1\n", &u);
+  EXPECT_TRUE(ok.schema.Validate().ok());
 }
 
 TEST(ParserTest, ErrorsMentionLineNumbers) {

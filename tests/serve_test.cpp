@@ -178,6 +178,38 @@ TEST(ServeTest, AdHocQueryTextAndErrorTaxonomy) {
             serve_error::kBadRequest);
 }
 
+TEST(ServeTest, HostileNumberInALoadedDocumentGetsAnErrorReply) {
+  // A bound past 2^64 once threw std::out_of_range out of the parser on a
+  // worker: the request went unanswered, in_flight stayed at 1, and a
+  // drain waited for it. A short drain timeout keeps such a server from
+  // hanging the test.
+  ServerOptions options;
+  options.drain_timeout_ms = 2000;
+  TestServer ts(options);
+  auto client = ts.Connect();
+  ASSERT_NE(client, nullptr);
+  StatusOr<std::string> load = client->Call(
+      LoadLine("huge", "relation R(a, b)\n"
+                       "method m on R inputs(0) "
+                       "limit 99999999999999999999999\n"),
+      5000);
+  ASSERT_TRUE(load.ok()) << load.status().ToString();
+  EXPECT_EQ(ErrorCode(*load), serve_error::kBadRequest) << *load;
+  EXPECT_NE(load->find("out of range"), std::string::npos) << *load;
+
+  // The worker releases its admission slot just after enqueueing the
+  // reply, so in_flight may read 1 for a moment.
+  std::string health;
+  for (int i = 0; i < 200; ++i) {
+    StatusOr<std::string> h = client->Call("{\"op\":\"health\"}");
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    health = *h;
+    if (health.find("\"in_flight\":0") != std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_NE(health.find("\"in_flight\":0"), std::string::npos) << health;
+}
+
 TEST(ServeTest, RunExecutesPlanWithFaults) {
   TestServer ts((ServerOptions()));
   auto client = ts.Connect();
