@@ -34,13 +34,13 @@ uint64_t CountBindingRows(FactRange rows,
                           const std::vector<uint32_t>& positions,
                           const Term* binding, uint64_t cap) {
   if (positions.empty()) return std::min<uint64_t>(rows.size(), cap);
-  const std::vector<uint32_t>* list = nullptr;
-  for (size_t i = 0; i < positions.size(); ++i) {
-    const std::vector<uint32_t>& l = rows.Postings(positions[i], binding[i]);
-    if (list == nullptr || l.size() < list->size()) list = &l;
+  std::span<const uint32_t> list = rows.Postings(positions[0], binding[0]);
+  for (size_t i = 1; i < positions.size(); ++i) {
+    std::span<const uint32_t> l = rows.Postings(positions[i], binding[i]);
+    if (l.size() < list.size()) list = l;
   }
   uint64_t n = 0;
-  for (uint32_t r : *list) {
+  for (uint32_t r : list) {
     if (n >= cap) break;
     const FactRef f = rows[r];
     bool match = true;
@@ -76,7 +76,7 @@ void CollectCardinalityBindings(const Instance& instance,
       for (uint32_t a = instance.DeltaBegin(*delta, rule.accessible_rel);
            a < acc.size(); ++a) {
         for (uint32_t p : positions) {
-          const std::vector<uint32_t>& l = source.Postings(p, acc[a].arg(0));
+          std::span<const uint32_t> l = source.Postings(p, acc[a].arg(0));
           rows.insert(rows.end(), l.begin(), l.end());
         }
       }
@@ -501,12 +501,13 @@ class Engine {
         const FactRef f = rows[r];
         uint32_t first = 0;  // no determiners: every row shares the key
         if (!fd.determiners.empty()) {
-          const std::vector<uint32_t>* list = nullptr;
-          for (uint32_t p : fd.determiners) {
-            const std::vector<uint32_t>& l = rows.Postings(p, f.arg(p));
-            if (list == nullptr || l.size() < list->size()) list = &l;
+          std::span<const uint32_t> list;
+          for (size_t i = 0; i < fd.determiners.size(); ++i) {
+            const uint32_t p = fd.determiners[i];
+            std::span<const uint32_t> l = rows.Postings(p, f.arg(p));
+            if (i == 0 || l.size() < list.size()) list = l;
           }
-          for (uint32_t q : *list) {
+          for (uint32_t q : list) {
             const FactRef g = rows[q];
             first = q;
             if (q == r ||

@@ -1,5 +1,6 @@
 #include "chase/trigger_plan.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 namespace rbda {
@@ -32,7 +33,20 @@ CompiledTgd::CompiledTgd(const Tgd& tgd) : tgd_(&tgd) {
     }
   }
   num_body_slots_ = static_cast<uint32_t>(slot_terms_.size());
-  for (Term y : tgd.ExistentialVariables()) new_slot(y);
+  // The existentials are the head variables the body left without a slot;
+  // sorted and deduplicated, they are ExistentialVariables().
+  for (const Atom& h : tgd.head()) {
+    for (Term t : h.args) {
+      if (t.IsVariable() && !slot_of.contains(t)) slot_terms_.push_back(t);
+    }
+  }
+  const auto existentials = slot_terms_.begin() + num_body_slots_;
+  std::sort(existentials, slot_terms_.end());
+  slot_terms_.erase(std::unique(existentials, slot_terms_.end()),
+                    slot_terms_.end());
+  for (uint32_t s = num_body_slots_; s < slot_terms_.size(); ++s) {
+    slot_of.emplace(slot_terms_[s], s);
+  }
   num_slots_ = static_cast<uint32_t>(slot_terms_.size());
 
   std::vector<bool> seen(num_slots_, false);
@@ -77,7 +91,8 @@ bool CompiledTgd::HasWitness(const Instance& inst, Term* slots,
   const CompiledAtom& head = head_[0];
   FactRange rows = inst.FactsOf(head.relation);
   if (rows.empty() || rows[0].arity() != head.steps.size()) return false;
-  const std::vector<uint32_t>* postings = nullptr;
+  std::span<const uint32_t> postings;
+  bool probed = false;
   for (uint32_t p = 0; p < head.steps.size(); ++p) {
     const Step& step = head.steps[p];
     if (step.op == Op::kBind ||
@@ -85,20 +100,18 @@ bool CompiledTgd::HasWitness(const Instance& inst, Term* slots,
       continue;  // existential: free in the probe
     }
     Term value = step.op == Op::kConstant ? step.term : slots[step.slot];
-    const std::vector<uint32_t>& list =
-        inst.FactsWith(head.relation, p, value);
+    std::span<const uint32_t> list = rows.Postings(p, value);
     if (list.empty()) return false;
-    if (postings == nullptr || list.size() < postings->size()) {
-      postings = &list;
-    }
+    if (!probed || list.size() < postings.size()) postings = list;
+    probed = true;
   }
-  if (postings == nullptr) {
+  if (!probed) {
     for (FactRef r : rows) {
       if (Unify(head.steps, r, slots)) return true;
     }
     return false;
   }
-  for (uint32_t i : *postings) {
+  for (uint32_t i : postings) {
     if (Unify(head.steps, rows[i], slots)) return true;
   }
   return false;

@@ -1,6 +1,7 @@
 #include "constraints/tgd.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "base/str_util.h"
 
@@ -8,14 +9,37 @@ namespace rbda {
 
 namespace {
 
-TermSet VariablesOf(const std::vector<Atom>& atoms) {
-  TermSet vars;
+// The variables of `atoms`, sorted and deduplicated.
+std::vector<Term> SortedVariables(const std::vector<Atom>& atoms) {
+  std::vector<Term> vars;
   for (const Atom& a : atoms) {
-    for (const Term& t : a.args) {
-      if (t.IsVariable()) vars.insert(t);
+    for (Term t : a.args) {
+      if (t.IsVariable()) vars.push_back(t);
     }
   }
+  std::sort(vars.begin(), vars.end());
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
   return vars;
+}
+
+bool Occurs(const Atom& atom, Term t) {
+  return std::find(atom.args.begin(), atom.args.end(), t) != atom.args.end();
+}
+
+bool Occurs(const std::vector<Atom>& atoms, Term t) {
+  return std::any_of(atoms.begin(), atoms.end(),
+                     [&](const Atom& a) { return Occurs(a, t); });
+}
+
+// True when `guard` holds every variable of `atoms` that `keep` accepts.
+template <typename Keep>
+bool Covers(const Atom& guard, const std::vector<Atom>& atoms, Keep keep) {
+  for (const Atom& a : atoms) {
+    for (Term t : a.args) {
+      if (t.IsVariable() && !Occurs(guard, t) && keep(t)) return false;
+    }
+  }
+  return true;
 }
 
 bool HasConstants(const std::vector<Atom>& atoms) {
@@ -38,62 +62,66 @@ bool HasRepeatedVariable(const Atom& atom) {
 
 }  // namespace
 
-TermSet Tgd::BodyVariables() const { return VariablesOf(body_); }
-TermSet Tgd::HeadVariables() const { return VariablesOf(head_); }
-
 std::vector<Term> Tgd::ExportedVariables() const {
-  TermSet body_vars = BodyVariables();
-  TermSet head_vars = HeadVariables();
+  std::vector<Term> body_vars = SortedVariables(body_);
+  std::vector<Term> head_vars = SortedVariables(head_);
   std::vector<Term> out;
-  for (const Term& t : body_vars) {
-    if (head_vars.count(t)) out.push_back(t);
-  }
-  std::sort(out.begin(), out.end());
+  std::set_intersection(body_vars.begin(), body_vars.end(),
+                        head_vars.begin(), head_vars.end(),
+                        std::back_inserter(out));
   return out;
 }
 
 std::vector<Term> Tgd::ExistentialVariables() const {
-  TermSet body_vars = BodyVariables();
-  TermSet head_vars = HeadVariables();
+  std::vector<Term> body_vars = SortedVariables(body_);
+  std::vector<Term> head_vars = SortedVariables(head_);
   std::vector<Term> out;
-  for (const Term& t : head_vars) {
-    if (!body_vars.count(t)) out.push_back(t);
-  }
-  std::sort(out.begin(), out.end());
+  std::set_difference(head_vars.begin(), head_vars.end(), body_vars.begin(),
+                      body_vars.end(), std::back_inserter(out));
   return out;
 }
 
-bool Tgd::IsFull() const { return ExistentialVariables().empty(); }
-
-bool Tgd::IsGuarded() const {
-  TermSet body_vars = BodyVariables();
-  for (const Atom& a : body_) {
-    TermSet atom_vars;
-    for (const Term& t : a.args) {
-      if (t.IsVariable()) atom_vars.insert(t);
+size_t Tgd::Width() const {
+  // Each exported variable counts at its first occurrence in the head.
+  size_t width = 0;
+  for (auto h = head_.begin(); h != head_.end(); ++h) {
+    for (auto t = h->args.begin(); t != h->args.end(); ++t) {
+      if (!t->IsVariable() || !Occurs(body_, *t)) continue;
+      const bool seen =
+          std::find(h->args.begin(), t, *t) != t ||
+          std::any_of(head_.begin(), h,
+                      [&](const Atom& a) { return Occurs(a, *t); });
+      width += !seen;
     }
-    if (atom_vars.size() == body_vars.size()) return true;
   }
-  return body_vars.empty();
+  return width;
+}
+
+bool Tgd::IsFull() const {
+  for (const Atom& h : head_) {
+    for (Term t : h.args) {
+      if (t.IsVariable() && !Occurs(body_, t)) return false;
+    }
+  }
+  return true;
+}
+
+// Without a covering atom, a non-empty body has a variable left out, so
+// only an empty body is guarded (and frontier-guarded) by none.
+bool Tgd::IsGuarded() const {
+  for (const Atom& guard : body_) {
+    if (Covers(guard, body_, [](Term) { return true; })) return true;
+  }
+  return body_.empty();
 }
 
 bool Tgd::IsFrontierGuarded() const {
-  std::vector<Term> exported = ExportedVariables();
-  for (const Atom& a : body_) {
-    TermSet atom_vars;
-    for (const Term& t : a.args) {
-      if (t.IsVariable()) atom_vars.insert(t);
+  for (const Atom& guard : body_) {
+    if (Covers(guard, head_, [&](Term t) { return Occurs(body_, t); })) {
+      return true;
     }
-    bool covers = true;
-    for (const Term& x : exported) {
-      if (!atom_vars.count(x)) {
-        covers = false;
-        break;
-      }
-    }
-    if (covers) return true;
   }
-  return exported.empty();
+  return body_.empty();
 }
 
 bool Tgd::IsLinear() const { return body_.size() == 1; }

@@ -21,17 +21,19 @@ class Tgd {
   Tgd() = default;
   Tgd(std::vector<Atom> body, std::vector<Atom> head)
       : body_(std::move(body)), head_(std::move(head)) {}
+  /// A single-atom rule. Both atoms are moved in: a braced vector would
+  /// copy each atom's arguments out of its initializer list.
+  Tgd(Atom body, Atom head) {
+    body_.push_back(std::move(body));
+    head_.push_back(std::move(head));
+  }
 
   const std::vector<Atom>& body() const { return body_; }
   const std::vector<Atom>& head() const { return head_; }
 
-  /// Variables occurring in the body.
-  TermSet BodyVariables() const;
-  /// Variables occurring in the head.
-  TermSet HeadVariables() const;
-  /// Body variables that occur in the head.
+  /// Body variables that occur in the head, sorted.
   std::vector<Term> ExportedVariables() const;
-  /// Head variables not in the body (existentially quantified).
+  /// Head variables not in the body (existentially quantified), sorted.
   std::vector<Term> ExistentialVariables() const;
 
   /// No existential variables in the head.
@@ -46,7 +48,7 @@ class Tgd {
   /// side, and no constants: an inclusion dependency.
   bool IsId() const;
   /// Number of exported variables (meaningful for IDs; defined generally).
-  size_t Width() const { return ExportedVariables().size(); }
+  size_t Width() const;
   /// An ID of width 1.
   bool IsUid() const { return IsId() && Width() == 1; }
 

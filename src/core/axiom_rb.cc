@@ -29,9 +29,8 @@ AxiomRbSchema BuildAxiomRb(const ServiceSchema& schema) {
     // Soundness of selection: R__rb__mt(x) -> R(x).
     std::vector<Term> args;
     for (uint32_t p = 0; p < arity; ++p) args.push_back(universe->FreshVariable());
-    out.schema.constraints().tgds.emplace_back(
-        std::vector<Atom>{Atom(*view, args)},
-        std::vector<Atom>{Atom(method.relation, args)});
+    out.schema.constraints().tgds.emplace_back(Atom(*view, args),
+                                               Atom(method.relation, args));
 
     // Lower-bound axiom (unconditional: no accessibility premise).
     CardinalityRule rule;

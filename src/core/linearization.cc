@@ -353,13 +353,11 @@ StatusOr<LinearizedProblem> LinearizeAnswerability(
         pair_rel[config.lm] = *pr;
         std::vector<Term> args = vars.Take(0, arity);
         // Pair(w) -> R_full(w): the returned tuple is fully accessible.
-        bounded_rules.emplace_back(
-            std::vector<Atom>{Atom(*pr, args)},
-            std::vector<Atom>{Atom(lin_rel(rel, FullMask(arity)), args)});
+        bounded_rules.emplace_back(Atom(*pr, args),
+                                   Atom(lin_rel(rel, FullMask(arity)), args));
         w_eff = std::max<size_t>(w_eff, arity);
         // Pair(w) -> R'(w).
-        acyclic_rules.emplace_back(std::vector<Atom>{Atom(*pr, args)},
-                                   std::vector<Atom>{Atom(rel_primed, args)});
+        acyclic_rules.emplace_back(Atom(*pr, args), Atom(rel_primed, args));
       }
     }
 
@@ -379,9 +377,8 @@ StatusOr<LinearizedProblem> LinearizeAnswerability(
           if (cl & Bit(bp)) head_mask |= Bit(hp);
         }
         bounded_rules.emplace_back(
-            std::vector<Atom>{Atom(subscripted, std::move(body_args))},
-            std::vector<Atom>{Atom(lin_rel(view.head_rel, head_mask),
-                                   std::move(head_args))});
+            Atom(subscripted, std::move(body_args)),
+            Atom(lin_rel(view.head_rel, head_mask), std::move(head_args)));
       }
 
       // (Transfer) / (RB-Transfer) / (RB-Choice) per method.
@@ -391,9 +388,8 @@ StatusOr<LinearizedProblem> LinearizeAnswerability(
         const LinearizedMethod* lm = config.lm;
         std::vector<Term> body_args = vars.Take(0, arity);
         if (!config.bounded) {
-          acyclic_rules.emplace_back(
-              std::vector<Atom>{Atom(subscripted, body_args)},
-              std::vector<Atom>{Atom(rel_primed, body_args)});
+          acyclic_rules.emplace_back(Atom(subscripted, body_args),
+                                     Atom(rel_primed, body_args));
         } else if (!lm->visible_outputs) {
           // E.5.2: R_P(x,y) -> ∃z R'(x,z).
           std::vector<Term> head_args = vars.Take(arity, arity);
@@ -401,15 +397,15 @@ StatusOr<LinearizedProblem> LinearizeAnswerability(
             head_args[p] = body_args[p];
           }
           acyclic_rules.emplace_back(
-              std::vector<Atom>{Atom(subscripted, std::move(body_args))},
-              std::vector<Atom>{Atom(rel_primed, std::move(head_args))});
+              Atom(subscripted, std::move(body_args)),
+              Atom(rel_primed, std::move(head_args)));
         } else {
           // RB-Choice: R_P(u) -> ∃z Pair(v), keeping the kept positions.
           std::vector<Term> head_args = vars.Take(arity, arity);
           for (uint32_t p : lm->kept_positions) head_args[p] = body_args[p];
           bounded_rules.emplace_back(
-              std::vector<Atom>{Atom(subscripted, std::move(body_args))},
-              std::vector<Atom>{Atom(pair_rel.at(lm), std::move(head_args))});
+              Atom(subscripted, std::move(body_args)),
+              Atom(pair_rel.at(lm), std::move(head_args)));
           w_eff = std::max<size_t>(
               w_eff, std::popcount(PositionMask(lm->kept_positions)));
         }
@@ -423,8 +419,8 @@ StatusOr<LinearizedProblem> LinearizeAnswerability(
     std::vector<Term> head_args = vars.Take(view.body_arity, view.head_arity);
     for (const auto& [bp, hp] : view.exported) head_args[hp] = body_args[bp];
     bounded_rules.emplace_back(
-        std::vector<Atom>{Atom(primed(view.body_rel), std::move(body_args))},
-        std::vector<Atom>{Atom(primed(view.head_rel), std::move(head_args))});
+        Atom(primed(view.body_rel), std::move(body_args)),
+        Atom(primed(view.head_rel), std::move(head_args)));
   }
 
   // ---- Initial instance. ----

@@ -69,12 +69,10 @@ ServiceSchema ViewSimplification(const ServiceSchema& schema,
     for (uint32_t p : kept) view_args.push_back(r_args[p]);
 
     // R(x, y) -> R_mt(x)   and   R_mt(x) -> ∃y R(x, y).
-    out.constraints().tgds.emplace_back(
-        std::vector<Atom>{Atom(method.relation, r_args)},
-        std::vector<Atom>{Atom(*view, view_args)});
-    out.constraints().tgds.emplace_back(
-        std::vector<Atom>{Atom(*view, view_args)},
-        std::vector<Atom>{Atom(method.relation, r_args)});
+    out.constraints().tgds.emplace_back(Atom(method.relation, r_args),
+                                        Atom(*view, view_args));
+    out.constraints().tgds.emplace_back(Atom(*view, view_args),
+                                        Atom(method.relation, r_args));
 
     // Replacement method: inputs are the view positions that correspond to
     // mt's input positions.

@@ -1,12 +1,13 @@
 #include "data/fact_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <utility>
 
 namespace rbda {
 
 namespace {
-const std::vector<uint32_t> kNoPostings;
 
 // splitmix64-style word mixer; the dedup table's quality hinges on this
 // spreading near-identical rows (chase rows differ in one null id).
@@ -23,7 +24,9 @@ RelationStore::RelationStore(const RelationStore& other)
       num_rows_(other.num_rows_),
       max_rows_(other.max_rows_),
       slots_(other.slots_),
-      postings_(other.postings_) {
+      postings_(other.postings_),
+      num_postings_(other.num_postings_),
+      long_lists_(other.long_lists_) {
   blocks_.reserve(other.blocks_.size());
   const size_t words = static_cast<size_t>(arity_) * kRowsPerBlock;
   for (const auto& block : other.blocks_) {
@@ -107,10 +110,8 @@ Status RelationStore::Insert(const Term* row, uint32_t* id, bool* inserted) {
   std::copy(row, row + arity_, dest);
   ++num_rows_;
   slots_[slot] = static_cast<uint32_t>(new_id);
-  // Column postings.
-  if (postings_.empty() && arity_ > 0) postings_.resize(arity_);
   for (uint32_t p = 0; p < arity_; ++p) {
-    postings_[p][row[p].raw()].push_back(static_cast<uint32_t>(new_id));
+    AddPosting(p, row[p].raw(), static_cast<uint32_t>(new_id));
   }
   *id = static_cast<uint32_t>(new_id);
   *inserted = true;
@@ -125,26 +126,67 @@ bool RelationStore::Find(const Term* row, uint32_t* id) const {
   return true;
 }
 
-const std::vector<uint32_t>& RelationStore::Postings(uint32_t position,
-                                                     Term term) const {
-  if (position >= postings_.size()) return kNoPostings;
-  auto it = postings_[position].find(term.raw());
-  return it == postings_[position].end() ? kNoPostings : it->second;
+size_t RelationStore::ProbePosting(uint32_t position, uint64_t term) const {
+  const size_t mask = postings_.size() - 1;
+  size_t i = static_cast<size_t>(Mix(term ^ (uint64_t{position} << 40))) &
+             mask;
+  while (postings_[i].size != 0 &&
+         (postings_[i].term != term || postings_[i].position != position)) {
+    i = (i + 1) & mask;
+  }
+  return i;
 }
 
-const std::vector<uint32_t>& FactRange::Postings(uint32_t position,
-                                                 Term term) const {
-  return store_ == nullptr ? kNoPostings : store_->Postings(position, term);
+void RelationStore::GrowPostings() {
+  const size_t new_size = postings_.empty()
+                              ? std::bit_ceil(size_t{2} * arity_)
+                              : postings_.size() * 2;
+  const std::vector<PostingEntry> old =
+      std::exchange(postings_, std::vector<PostingEntry>(new_size));
+  for (const PostingEntry& entry : old) {
+    if (entry.size != 0) {
+      postings_[ProbePosting(entry.position, entry.term)] = entry;
+    }
+  }
+}
+
+void RelationStore::AddPosting(uint32_t position, uint64_t term,
+                               uint32_t row) {
+  if ((num_postings_ + 1) * 100 > postings_.size() * kMaxLoadPercent) {
+    GrowPostings();
+  }
+  PostingEntry& entry = postings_[ProbePosting(position, term)];
+  if (entry.size == 0) {
+    entry = PostingEntry{term, position, 1, row};
+    ++num_postings_;
+    return;
+  }
+  if (entry.size == 1) {
+    const uint32_t first = entry.row_or_list;
+    entry.row_or_list = static_cast<uint32_t>(long_lists_.size());
+    long_lists_.push_back({first, row});
+  } else {
+    long_lists_[entry.row_or_list].push_back(row);
+  }
+  ++entry.size;
+}
+
+std::span<const uint32_t> RelationStore::Postings(uint32_t position,
+                                                  Term term) const {
+  if (postings_.empty()) return {};
+  const PostingEntry& entry = postings_[ProbePosting(position, term.raw())];
+  if (entry.size <= 1) return {&entry.row_or_list, entry.size};
+  return long_lists_[entry.row_or_list];
 }
 
 size_t RelationStore::MemoryBytes() const {
   size_t bytes = blocks_.size() * static_cast<size_t>(arity_) *
                  kRowsPerBlock * sizeof(Term);
   bytes += slots_.size() * sizeof(uint32_t);
-  for (const auto& column : postings_) {
-    for (const auto& [term, ids] : column) {
-      bytes += sizeof(term) + ids.capacity() * sizeof(uint32_t);
-    }
+  bytes += postings_.size() * sizeof(PostingEntry);
+  bytes += long_lists_.capacity() * sizeof(std::vector<uint32_t>);
+  for (const std::vector<uint32_t>& ids : long_lists_) {
+    bytes += ids.capacity() * sizeof(uint32_t);
   }
   return bytes;
 }

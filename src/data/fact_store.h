@@ -14,7 +14,14 @@
 //     directly), replacing the old unordered_set<Fact> and its third copy
 //     of every fact.
 //   - Column postings: per (position, term) lists of row ids, which drive
-//     positional index lookups (Instance::FactsWith).
+//     positional index lookups (Instance::FactsWith). One open-addressed,
+//     linear-probed table per store keyed by (position, term); a 24-byte
+//     entry holds the term, the position, the list size and either the
+//     list's one row id inline or an index into a side vector of longer
+//     lists. Most stores hold one row, so most lists have one id, and
+//     posting a row usually allocates nothing once the table is sized.
+//     Postings come back as spans: a span stays valid until the next
+//     Insert into its store (the table may grow and a long list may move).
 //
 // Row ids are 32-bit and checked: Insert returns kResourceExhausted once
 // the relation would exceed the id space (2^32 - 1 rows; UINT32_MAX is the
@@ -26,7 +33,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -84,12 +90,12 @@ class RelationStore {
   /// Looks the row up without inserting.
   bool Find(const Term* row, uint32_t* id) const;
 
-  /// Row ids whose argument at `position` is `term` (ascending; empty list
-  /// if none). Valid while the store lives; appends may grow it.
-  const std::vector<uint32_t>& Postings(uint32_t position, Term term) const;
+  /// Row ids whose argument at `position` is `term` (ascending; empty if
+  /// none). Valid until the next Insert into this store.
+  std::span<const uint32_t> Postings(uint32_t position, Term term) const;
 
   /// Approximate heap footprint in bytes (arena blocks + dedup table +
-  /// posting lists), for memory accounting in benches.
+  /// posting table + long posting lists), for memory accounting in benches.
   size_t MemoryBytes() const;
 
  private:
@@ -99,6 +105,21 @@ class RelationStore {
   // where it belongs. Requires a non-empty table.
   size_t ProbeSlot(const Term* row) const;
   void GrowTable();
+  // One (position, term) key of the posting table; size 0 marks a free
+  // entry. A list of one row keeps it in `row_or_list`; a longer list
+  // lives in long_lists_[row_or_list].
+  struct PostingEntry {
+    uint64_t term = 0;
+    uint32_t position = 0;
+    uint32_t size = 0;
+    uint32_t row_or_list = 0;
+  };
+  static_assert(sizeof(PostingEntry) == 24);
+  // Probes for (position, term); returns its entry or the free entry where
+  // it belongs. Requires a non-empty table.
+  size_t ProbePosting(uint32_t position, uint64_t term) const;
+  void AddPosting(uint32_t position, uint64_t term, uint32_t row);
+  void GrowPostings();
 
   RelationId relation_ = 0;
   uint32_t arity_ = 0;
@@ -111,8 +132,11 @@ class RelationStore {
   static constexpr size_t kInitialSlots = 16;
   static constexpr uint64_t kMaxLoadPercent = 70;
   std::vector<uint32_t> slots_;
-  // Column postings: postings_[position][term.raw()] = ascending row ids.
-  std::vector<std::unordered_map<uint64_t, std::vector<uint32_t>>> postings_;
+  // Column postings: sized to a power of two (first 2 x arity or more),
+  // grown at kMaxLoadPercent occupancy like the dedup table.
+  std::vector<PostingEntry> postings_;
+  size_t num_postings_ = 0;
+  std::vector<std::vector<uint32_t>> long_lists_;  // ascending row ids
 };
 
 /// A borrowed view of one stored fact: the relation plus a pointer into
@@ -152,8 +176,11 @@ class FactRange {
   FactRef operator[](size_t i) const {
     return FactRef(store_->relation(), store_->Row(i), store_->arity());
   }
-  /// RelationStore::Postings of the viewed store (empty list if none).
-  const std::vector<uint32_t>& Postings(uint32_t position, Term term) const;
+  /// RelationStore::Postings of the viewed store (empty if none).
+  std::span<const uint32_t> Postings(uint32_t position, Term term) const {
+    if (store_ == nullptr) return {};
+    return store_->Postings(position, term);
+  }
 
   class iterator {
    public:

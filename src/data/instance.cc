@@ -8,10 +8,6 @@
 
 namespace rbda {
 
-namespace {
-const std::vector<uint32_t> kNoIndexes;
-}  // namespace
-
 RelationStore* Instance::StoreFor(RelationId relation, uint32_t arity) {
   auto it = stores_.find(relation);
   if (it == stores_.end()) {
@@ -77,15 +73,19 @@ Instance::DeltaMark Instance::Mark() const {
   mark.generation = generation_;
   mark.sizes.reserve(stores_.size());
   for (const auto& [rel, store] : stores_) {
-    mark.sizes.emplace(rel, store.size());
+    mark.sizes.emplace_back(rel, store.size());
   }
+  std::sort(mark.sizes.begin(), mark.sizes.end());
   return mark;
 }
 
 uint32_t Instance::DeltaBegin(const DeltaMark& mark,
                               RelationId relation) const {
-  auto it = mark.sizes.find(relation);
-  return it == mark.sizes.end() ? 0 : static_cast<uint32_t>(it->second);
+  auto it = std::ranges::lower_bound(mark.sizes, relation, {},
+                                     &std::pair<RelationId, uint64_t>::first);
+  return it == mark.sizes.end() || it->first != relation
+             ? 0
+             : static_cast<uint32_t>(it->second);
 }
 
 FactRange Instance::FactsOf(RelationId relation) const {
@@ -101,12 +101,10 @@ std::vector<RelationId> Instance::PopulatedRelations() const {
   return out;
 }
 
-const std::vector<uint32_t>& Instance::FactsWith(RelationId relation,
-                                                 uint32_t position,
-                                                 Term term) const {
-  const RelationStore* store = FindStore(relation);
-  if (store == nullptr) return kNoIndexes;
-  return store->Postings(position, term);
+std::span<const uint32_t> Instance::FactsWith(RelationId relation,
+                                              uint32_t position,
+                                              Term term) const {
+  return FactsOf(relation).Postings(position, term);
 }
 
 TermSet Instance::ActiveDomain() const {

@@ -9,8 +9,10 @@
 // arenas, deduplicated by an open-addressed hash over the row words, with
 // per-relation column postings driving the positional index
 // (relation, position, term) -> row ids that homomorphism search and chase
-// trigger enumeration probe. A fact is stored once; FactsOf hands out
-// borrowed row views (FactRef) instead of copies.
+// trigger enumeration probe (one open-addressed table per relation, see
+// data/fact_store.h; a posting span lives until the relation's next
+// insert). A fact is stored once; FactsOf hands out borrowed row views
+// (FactRef) instead of copies.
 //
 // For semi-naive (delta-driven) evaluation the instance also tracks how it
 // grows: per-relation row arenas are append-only, so a DeltaMark — a
@@ -88,7 +90,9 @@ class Instance {
     uint64_t rebuilds = 0;
     uint64_t generation = 0;  // generation() at mark time; the delta holds
                               // generation() - generation facts
-    std::unordered_map<RelationId, uint64_t> sizes;
+    // (relation, rows) of every store at mark time, sorted by relation:
+    // one flat vector, which DeltaBegin binary-searches.
+    std::vector<std::pair<RelationId, uint64_t>> sizes;
   };
 
   /// Adds a fact; returns true if it was not already present. Aborts
@@ -149,8 +153,10 @@ class Instance {
 
   /// Indexes of facts of `relation` whose argument at `position` is
   /// `term`, ascending. The returned indexes refer to FactsOf(relation).
-  const std::vector<uint32_t>& FactsWith(RelationId relation,
-                                         uint32_t position, Term term) const;
+  /// The span stays valid until the next fact is added to `relation`
+  /// (RelationStore::Postings): collect the matches before adding.
+  std::span<const uint32_t> FactsWith(RelationId relation, uint32_t position,
+                                      Term term) const;
 
   /// All terms occurring in facts.
   TermSet ActiveDomain() const;
@@ -199,8 +205,9 @@ class Instance {
   }
 
   /// First index into FactsOf(relation) of the facts appended since
-  /// `mark`. Requires MarkValid(mark). The uint32_t return cannot
-  /// truncate: the checked row-id guard caps every arena below 2^32 rows.
+  /// `mark`: 0 for a relation the mark does not hold (created after it).
+  /// Requires MarkValid(mark). The uint32_t return cannot truncate: the
+  /// checked row-id guard caps every arena below 2^32 rows.
   uint32_t DeltaBegin(const DeltaMark& mark, RelationId relation) const;
 
   /// Iteration over all facts, relation by relation in first-insertion

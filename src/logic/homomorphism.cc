@@ -115,10 +115,11 @@ size_t CompiledJoin::Run(const Instance& target,
 }
 
 size_t CompiledJoin::Estimate(const AtomPlan& atom,
-                              const std::vector<uint32_t>** postings) const {
+                              std::span<const uint32_t>* postings,
+                              bool* probed) const {
   const Range range = atom.range;
   const bool whole = !existence_ || (range.lo == 0 && range.hi == UINT32_MAX);
-  *postings = nullptr;
+  *probed = false;
   size_t best = 0;
   for (uint32_t p = 0; p < atom.arity; ++p) {
     const Arg& arg = args_[atom.first_arg + p];
@@ -127,18 +128,19 @@ size_t CompiledJoin::Estimate(const AtomPlan& atom,
       if (!slot_plans_[arg.slot].bound) continue;
       value = slots_[arg.slot];
     }
-    const std::vector<uint32_t>& list = atom.rows.Postings(p, value);
+    std::span<const uint32_t> list = atom.rows.Postings(p, value);
     size_t size = list.size();
     if (!whole) {
       size = std::lower_bound(list.begin(), list.end(), range.hi) -
              std::lower_bound(list.begin(), list.end(), range.lo);
     }
-    if (*postings == nullptr || size < best) {
-      *postings = &list;
+    if (!*probed || size < best) {
+      *postings = list;
+      *probed = true;
       best = size;
     }
   }
-  if (*postings != nullptr) return best;
+  if (*probed) return best;
   const size_t rows = atom.rows.size();
   if (whole) return rows;
   return range.lo < rows ? std::min<size_t>(rows, range.hi) - range.lo : 0;
@@ -173,16 +175,19 @@ bool CompiledJoin::Search(size_t remaining) {
   AtomPlan* best = nullptr;
   int best_score = -1;
   size_t best_estimate = 0;
-  const std::vector<uint32_t>* best_postings = nullptr;
+  std::span<const uint32_t> best_postings;
+  bool best_probed = false;
   for (AtomPlan& atom : atoms_) {
     if (atom.used || atom.bound < best_score) continue;
-    const std::vector<uint32_t>* postings;
-    size_t estimate = Estimate(atom, &postings);
+    std::span<const uint32_t> postings;
+    bool probed;
+    size_t estimate = Estimate(atom, &postings, &probed);
     if (atom.bound > best_score || estimate < best_estimate) {
       best = &atom;
       best_score = atom.bound;
       best_estimate = estimate;
       best_postings = postings;
+      best_probed = probed;
     }
   }
   AtomPlan& atom = *best;
@@ -216,10 +221,10 @@ bool CompiledJoin::Search(size_t remaining) {
   atom.used = true;
   bool keep_going = true;
   const Range range = atom.range;
-  if (best_postings != nullptr) {
-    for (auto it = std::lower_bound(best_postings->begin(),
-                                    best_postings->end(), range.lo);
-         keep_going && it != best_postings->end() && *it < range.hi; ++it) {
+  if (best_probed) {
+    for (auto it = std::lower_bound(best_postings.begin(),
+                                    best_postings.end(), range.lo);
+         keep_going && it != best_postings.end() && *it < range.hi; ++it) {
       keep_going = try_row(*it);
     }
   } else {

@@ -139,10 +139,11 @@ class CompiledJoin {
              Callback callback, void* context);
   bool Search(size_t remaining);
   // Candidates for `atom` under the current bindings: the smallest posting
-  // list over its bound positions (*postings; nullptr when none is bound)
-  // or all its rows. Counted inside its range in existence mode only.
-  size_t Estimate(const AtomPlan& atom,
-                  const std::vector<uint32_t>** postings) const;
+  // list over its bound positions (*postings, with *probed set) or, when
+  // none is bound, all its rows. Counted inside its range in existence
+  // mode only.
+  size_t Estimate(const AtomPlan& atom, std::span<const uint32_t>* postings,
+                  bool* probed) const;
   // Marks `slot` bound or unbound and updates its atoms' bound counts.
   void SetBound(uint32_t slot, bool bound);
   // Binds a free slot, on the trail.

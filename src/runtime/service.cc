@@ -70,8 +70,8 @@ std::vector<Fact> MatchingTuples(const Instance& data,
   };
   if (!method.input_positions.empty()) {
     // Probe the positional index on the first input position.
-    const std::vector<uint32_t>& postings =
-        data.FactsWith(method.relation, method.input_positions[0], binding[0]);
+    std::span<const uint32_t> postings =
+        candidates.Postings(method.input_positions[0], binding[0]);
     for (uint32_t idx : postings) {
       if (matches(candidates[idx])) out.push_back(Fact(candidates[idx]));
     }

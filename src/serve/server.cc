@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <exception>
 #include <vector>
 
 #include "core/plan_synthesis.h"
@@ -536,7 +537,18 @@ void ServeServer::ExecuteAdmitted(std::shared_ptr<Conn> conn,
       usleep(static_cast<useconds_t>(
           std::min<uint64_t>(req.debug_sleep_us, 5000000)));
     }
-    response = Dispatch(req);
+    // The task pool only records what a task throws, so a throwing
+    // handler would leave its client unanswered and hold its admission
+    // slot: answer it here, and let the epilogue below run.
+    try {
+      response = Dispatch(req);
+    } catch (const std::exception& e) {
+      response = RenderServeError(req.id, serve_error::kEngineError,
+                                  std::string("handler threw: ") + e.what());
+    } catch (...) {
+      response = RenderServeError(req.id, serve_error::kEngineError,
+                                  "handler threw a non-standard exception");
+    }
     now = NowUs();
     if (now > deadline_us) {
       metrics_->deadline_exceeded->Increment();

@@ -67,7 +67,7 @@ struct ServerOptions {
 class ServeServer {
  public:
   explicit ServeServer(const ServerOptions& options);
-  ~ServeServer();
+  virtual ~ServeServer();
 
   ServeServer(const ServeServer&) = delete;
   ServeServer& operator=(const ServeServer&) = delete;
@@ -93,6 +93,12 @@ class ServeServer {
   const AdmissionController& admission() const { return admission_; }
   SchemaRegistry& registry() { return registry_; }
 
+ protected:
+  // Executes one admitted request and renders its reply. Virtual so that
+  // tests can stand in a handler that throws; an exception becomes an
+  // engine_error reply.
+  virtual std::string Dispatch(const ServeRequest& req);
+
  private:
   struct Conn;
   struct Metrics;
@@ -112,7 +118,6 @@ class ServeServer {
   // Worker-side execution of an admitted request.
   void ExecuteAdmitted(std::shared_ptr<Conn> conn, ServeRequest req,
                        uint64_t arrival_us, uint64_t deadline_us);
-  std::string Dispatch(const ServeRequest& req);
   std::string DoLoadSchema(const ServeRequest& req);
   std::string DoDecide(const ServeRequest& req);
   std::string DoRun(const ServeRequest& req);

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -68,10 +69,13 @@ class ReferenceSearcher {
   size_t count() const { return count_; }
 
  private:
-  const std::vector<uint32_t>* SmallestPostings(const Substitution& sub,
-                                                const Atom& atom,
-                                                size_t* estimate) const {
-    const std::vector<uint32_t>* postings = nullptr;
+  // The smallest posting list over the bound positions; none when no
+  // position is bound.
+  using Postings = std::optional<std::span<const uint32_t>>;
+
+  Postings SmallestPostings(const Substitution& sub, const Atom& atom,
+                            size_t* estimate) const {
+    Postings postings;
     for (uint32_t p = 0; p < atom.args.size(); ++p) {
       Term t = atom.args[p];
       if (!t.IsConstant()) {
@@ -79,10 +83,10 @@ class ReferenceSearcher {
         if (it == sub.end()) continue;
         t = it->second;
       }
-      const std::vector<uint32_t>& list =
+      std::span<const uint32_t> list =
           target_.FactsWith(atom.relation, p, t);
-      if (postings == nullptr || list.size() < postings->size()) {
-        postings = &list;
+      if (!postings || list.size() < postings->size()) {
+        postings = list;
       }
     }
     *estimate =
@@ -91,18 +95,17 @@ class ReferenceSearcher {
   }
 
   size_t PickNextAtom(const Substitution& sub,
-                      const std::vector<uint32_t>** postings_out) const {
+                      Postings* postings_out) const {
     size_t best = atoms_.size();
     int best_score = -1;
     size_t best_estimate = 0;
-    const std::vector<uint32_t>* best_postings = nullptr;
+    Postings best_postings;
     for (size_t i = 0; i < atoms_.size(); ++i) {
       if (used_[i]) continue;
       int score = bound_score_[i];
       if (score < best_score) continue;
       size_t estimate;
-      const std::vector<uint32_t>* postings =
-          SmallestPostings(sub, atoms_[i], &estimate);
+      Postings postings = SmallestPostings(sub, atoms_[i], &estimate);
       if (score > best_score || estimate < best_estimate) {
         best = i;
         best_score = score;
@@ -133,7 +136,7 @@ class ReferenceSearcher {
       ++count_;
       return callback_(*sub);
     }
-    const std::vector<uint32_t>* postings = nullptr;
+    Postings postings;
     size_t idx = PickNextAtom(*sub, &postings);
     const Atom& atom = atoms_[idx];
     used_[idx] = true;
@@ -180,7 +183,7 @@ class ReferenceSearcher {
 
     AtomRange range;
     if (ranges_ != nullptr) range = (*ranges_)[idx];
-    if (postings != nullptr) {
+    if (postings) {
       for (uint32_t i : *postings) {
         if (!range.Contains(i)) continue;
         if (!try_fact(facts[i])) {

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,38 +65,42 @@ std::string ErrorCode(const std::string& line) {
 /// clean: Serve() must return Ok with every admitted request answered.
 class TestServer {
  public:
-  explicit TestServer(const ServerOptions& options) : server_(options) {
-    Status started = server_.Start();
+  explicit TestServer(const ServerOptions& options)
+      : TestServer(std::make_unique<ServeServer>(options)) {}
+
+  explicit TestServer(std::unique_ptr<ServeServer> server)
+      : server_(std::move(server)) {
+    Status started = server_->Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
-    thread_ = std::thread([this] { serve_status_ = server_.Serve(); });
+    thread_ = std::thread([this] { serve_status_ = server_->Serve(); });
   }
 
   ~TestServer() {
     if (thread_.joinable()) {
-      server_.RequestDrain();
+      server_->RequestDrain();
       thread_.join();
     }
     EXPECT_TRUE(serve_status_.ok()) << serve_status_.ToString();
   }
 
-  ServeServer& server() { return server_; }
-  uint16_t port() const { return server_.port(); }
+  ServeServer& server() { return *server_; }
+  uint16_t port() const { return server_->port(); }
 
   std::unique_ptr<ServeClient> Connect(uint64_t timeout_ms = 5000) {
     StatusOr<std::unique_ptr<ServeClient>> client =
-        ServeClient::Connect("127.0.0.1", server_.port(), timeout_ms);
+        ServeClient::Connect("127.0.0.1", server_->port(), timeout_ms);
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return client.ok() ? std::move(*client) : nullptr;
   }
 
   Status Drain() {
-    server_.RequestDrain();
+    server_->RequestDrain();
     thread_.join();
     return serve_status_;
   }
 
  private:
-  ServeServer server_;
+  std::unique_ptr<ServeServer> server_;
   std::thread thread_;
   Status serve_status_;
 };
@@ -208,6 +213,59 @@ TEST(ServeTest, HostileNumberInALoadedDocumentGetsAnErrorReply) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_NE(health.find("\"in_flight\":0"), std::string::npos) << health;
+}
+
+// A server whose handler throws for the schema named "boom".
+class ThrowingServer : public ServeServer {
+ public:
+  using ServeServer::ServeServer;
+
+ protected:
+  std::string Dispatch(const ServeRequest& req) override {
+    if (req.op == ServeOp::kLoadSchema && req.name == "boom") {
+      throw std::runtime_error("boom handler");
+    }
+    return ServeServer::Dispatch(req);
+  }
+};
+
+TEST(ServeTest, ThrowingHandlerGetsAnErrorReplyAndFreesItsSlot) {
+  // The task pool only records what a task throws: without the catch in
+  // the worker, the client got no reply, in_flight stayed at 1, and the
+  // drain waited out its timeout.
+  ServerOptions options;
+  options.drain_timeout_ms = 3000;
+  TestServer ts(std::make_unique<ThrowingServer>(options));
+  auto client = ts.Connect();
+  ASSERT_NE(client, nullptr);
+  StatusOr<std::string> load =
+      client->Call(LoadLine("boom", "relation R(a)\n"), 2000);
+  ASSERT_TRUE(load.ok()) << load.status().ToString();
+  EXPECT_EQ(ErrorCode(*load), serve_error::kEngineError) << *load;
+  EXPECT_NE(load->find("boom handler"), std::string::npos) << *load;
+
+  // Other requests still run, through the same worker pool.
+  StatusOr<std::string> fine = client->Call(LoadLine("s1", kDocument));
+  ASSERT_TRUE(fine.ok()) << fine.status().ToString();
+  EXPECT_EQ(ErrorCode(*fine), "") << *fine;
+
+  // The worker releases its admission slot just after enqueueing the
+  // reply, so in_flight may read 1 for a moment.
+  std::string health;
+  for (int i = 0; i < 200; ++i) {
+    StatusOr<std::string> h = client->Call("{\"op\":\"health\"}");
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    health = *h;
+    if (health.find("\"in_flight\":0") != std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_NE(health.find("\"in_flight\":0"), std::string::npos) << health;
+
+  const auto drain_began = std::chrono::steady_clock::now();
+  Status drained = ts.Drain();
+  EXPECT_TRUE(drained.ok()) << drained.ToString();
+  EXPECT_LT(std::chrono::steady_clock::now() - drain_began,
+            std::chrono::milliseconds(options.drain_timeout_ms));
 }
 
 TEST(ServeTest, RunExecutesPlanWithFaults) {
