@@ -1,9 +1,8 @@
 #include "chase/chase.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
-#include <unordered_set>
+#include <utility>
 
 #include "chase/relevance.h"
 #include "chase/trigger_plan.h"
@@ -181,32 +180,73 @@ int KindRank(Term t) {
   return 3;
 }
 
-// Hashes and compares materialized triggers — indexes into a buffer of
-// body-slot tuples `width` terms apart — by their exported slots only.
-struct TriggerKey {
-  const std::vector<Term>* triggers;
-  const std::vector<uint32_t>* exported;
-  uint32_t width;
+// Combines the hashes of `n` terms, the i-th being `term(i)`.
+template <typename TermAt>
+uint64_t HashTerms(size_t n, TermAt term) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (size_t i = 0; i < n; ++i) {
+    h ^= TermHash()(term(i)) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  }
+  return h;
+}
 
-  const Term* Slots(uint32_t t) const {
-    return triggers->data() + size_t{t} * width;
-  }
-  size_t operator()(uint32_t t) const {
-    const Term* slots = Slots(t);
-    uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (uint32_t s : *exported) {
-      h ^= TermHash()(slots[s]) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+// An open-addressed set of indices into a caller's buffer of keys, hashed
+// and compared by the caller: the Engine's one scratch table for trigger
+// dedup (FireTgdRound) and FD witnesses (ApplyFdsToFixpoint). Clear()
+// empties only the slots in use, so it costs in proportion to the
+// entries, not to the capacity a large round left behind. A slot keeps
+// its entry's hash: growing calls no hash function, and a probe compares
+// keys only when the hashes agree.
+class IndexTable {
+ public:
+  // The index stored under a key equal to the candidate's, where
+  // `equal(i)` compares stored index i with the candidate; if there is
+  // none, stores `index` and returns it. The first index stored under a
+  // key wins.
+  template <typename Equal>
+  uint32_t Insert(uint64_t hash, uint32_t index, Equal&& equal) {
+    if ((used_.size() + 1) * 10 > slots_.size() * 7) Grow();
+    const size_t mask = slots_.size() - 1;
+    const auto h = static_cast<uint32_t>(hash);
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.index == kEmpty) {
+        slot = Slot{h, index};
+        used_.push_back(static_cast<uint32_t>(i));
+        return index;
+      }
+      if (slot.hash == h && equal(slot.index)) return slot.index;
     }
-    return static_cast<size_t>(h);
   }
-  bool operator()(uint32_t a, uint32_t b) const {
-    const Term* x = Slots(a);
-    const Term* y = Slots(b);
-    for (uint32_t s : *exported) {
-      if (x[s] != y[s]) return false;
+
+  void Clear() {
+    for (uint32_t i : used_) slots_[i].index = kEmpty;
+    used_.clear();
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t index = kEmpty;
+  };
+
+  void Grow() {
+    const std::vector<Slot> old = std::exchange(
+        slots_, std::vector<Slot>(std::max<size_t>(16, slots_.size() * 2)));
+    const size_t mask = slots_.size() - 1;
+    used_.clear();
+    for (const Slot& slot : old) {
+      if (slot.index == kEmpty) continue;
+      size_t i = slot.hash & mask;
+      while (slots_[i].index != kEmpty) i = (i + 1) & mask;
+      slots_[i] = slot;
+      used_.push_back(static_cast<uint32_t>(i));
     }
-    return true;
   }
+
+  std::vector<Slot> slots_;  // a power of two, at most 70% full
+  std::vector<uint32_t> used_;  // the positions of the entries
 };
 
 class Engine {
@@ -384,19 +424,25 @@ class Engine {
       // by their exported slots (two body matches with the same exported
       // image need only one head witness); the first match wins.
       triggers_.clear();
+      table_.Clear();
       uint32_t num_triggers = 0;
-      TriggerKey key{&triggers_, &plan.exported_slots(), width};
-      std::unordered_set<uint32_t, TriggerKey, TriggerKey> seen(0, key, key);
-      plan.ForEachBodyMatch(inst, delta, slots_.data(),
-                            [&](const Term* bound) {
-                              triggers_.insert(triggers_.end(), bound,
-                                               bound + width);
-                              if (seen.insert(num_triggers).second) {
-                                ++num_triggers;
-                              } else {
-                                triggers_.resize(triggers_.size() - width);
-                              }
-                            });
+      const std::vector<uint32_t>& exported = plan.exported_slots();
+      plan.ForEachBodyMatch(
+          inst, delta, slots_.data(), [&](const Term* bound) {
+            const uint64_t hash = HashTerms(
+                exported.size(), [&](size_t i) { return bound[exported[i]]; });
+            auto same_image = [&](uint32_t t) {
+              const Term* other = triggers_.data() + size_t{t} * width;
+              return std::all_of(
+                  exported.begin(), exported.end(),
+                  [&](uint32_t s) { return other[s] == bound[s]; });
+            };
+            if (table_.Insert(hash, num_triggers, same_image) ==
+                num_triggers) {
+              triggers_.insert(triggers_.end(), bound, bound + width);
+              ++num_triggers;
+            }
+          });
 
       for (uint32_t t = 0; t < num_triggers; ++t) {
         std::copy_n(triggers_.begin() + size_t{t} * width, width,
@@ -562,15 +608,33 @@ class Engine {
     while (changed) {
       changed = false;
       for (const Fd& fd : constraints_.fds) {
-        std::map<std::vector<Term>, Term> witness;
+        // The first fact per resolved determiner tuple is the witness: its
+        // tuple goes to fd_keys_ (tuples back to back) and its value to
+        // fd_values_, which a merge updates to the representative. A
+        // stored tuple is not resolved again when a later merge in the
+        // pass changes one of its terms; the next pass compares it under
+        // the new representatives. That keeps merges and their order.
+        const size_t width = fd.determiners.size();
+        table_.Clear();
+        fd_keys_.clear();
+        fd_values_.clear();
         for (FactRef f : result_.instance.FactsOf(fd.relation)) {
-          std::vector<Term> key;
-          key.reserve(fd.determiners.size());
-          for (uint32_t p : fd.determiners) key.push_back(find(f.arg(p)));
+          const auto n = static_cast<uint32_t>(fd_values_.size());
+          for (uint32_t p : fd.determiners) fd_keys_.push_back(find(f.arg(p)));
+          const Term* key = fd_keys_.data() + size_t{n} * width;
           Term value = find(f.arg(fd.determined));
-          auto [it, inserted] = witness.emplace(std::move(key), value);
-          if (inserted) continue;
-          Term a = find(it->second);
+          const uint32_t w = table_.Insert(
+              HashTerms(width, [&](size_t i) { return key[i]; }), n,
+              [&](uint32_t i) {
+                return std::equal(key, key + width,
+                                  fd_keys_.data() + size_t{i} * width);
+              });
+          if (w == n) {
+            fd_values_.push_back(value);
+            continue;
+          }
+          fd_keys_.resize(size_t{n} * width);
+          Term a = find(fd_values_[w]);
           Term b = value;
           if (a == b) continue;
           if (a.IsConstant() && b.IsConstant()) return false;
@@ -580,7 +644,7 @@ class Engine {
             std::swap(a, b);
           }
           parent[b] = a;
-          it->second = a;
+          fd_values_[w] = a;
           ++unions;
           ++result_.egd_merges;
           Metrics().triggers_egd->Increment();
@@ -615,6 +679,11 @@ class Engine {
   std::vector<Term> triggers_;
   std::vector<Term> row_;
   std::vector<FactRef> created_;
+  // The dedup table over triggers_, and over the FD repair's witnesses:
+  // their determiner tuples back to back, and their values.
+  IndexTable table_;
+  std::vector<Term> fd_keys_;
+  std::vector<Term> fd_values_;
   // One rule's bindings, reused by every cardinality round.
   CardinalityBindings bindings_;
   // Per-index relevance filter for the rules (empty = fire every rule).

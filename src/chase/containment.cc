@@ -251,6 +251,7 @@ ContainmentOutcome RunJohnsonKlug(const Instance& start,
   // The trigger plan: each enabled TGD compiled once, indexed by its body
   // relation in TGD order (the order the chase tries them in).
   std::vector<CompiledTgd> compiled;
+  compiled.reserve(linear_tgds.size());
   std::vector<std::vector<uint32_t>> by_relation;
   uint32_t num_slots = 0;
   for (const Tgd& tgd : linear_tgds) {

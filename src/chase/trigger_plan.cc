@@ -1,75 +1,128 @@
 #include "chase/trigger_plan.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace rbda {
 
+namespace {
+
+// The constructor's slot lookup: a variable, its slot (kUnassigned until
+// assigned), and whether the head uses it — a body slot used there is
+// exported, and an existential used there has been bound by its first
+// head occurrence.
+struct SlotEntry {
+  Term term;
+  uint32_t slot;
+  bool in_head;
+};
+constexpr uint32_t kUnassigned = UINT32_MAX;
+
+// The entry for `t` in `entries`, sorted by term, or null.
+SlotEntry* FindSlot(std::vector<SlotEntry>& entries, Term t) {
+  auto it = std::lower_bound(
+      entries.begin(), entries.end(), t,
+      [](const SlotEntry& e, Term term) { return e.term < term; });
+  return it != entries.end() && it->term == t ? &*it : nullptr;
+}
+
+}  // namespace
+
 CompiledTgd::CompiledTgd(const Tgd& tgd) : tgd_(&tgd) {
-  std::unordered_map<Term, uint32_t, TermHash> slot_of;
-  auto new_slot = [&](Term t) {
-    auto [it, inserted] =
-        slot_of.emplace(t, static_cast<uint32_t>(slot_terms_.size()));
-    if (inserted) slot_terms_.push_back(t);
-    return std::make_pair(it->second, inserted);
-  };
+  // Every variable once, sorted by term: the body's non-constant terms and
+  // the head's variables.
+  std::vector<SlotEntry> lookup;
+  size_t body_args = 0;
+  size_t head_args = 0;
+  for (const Atom& a : tgd.body()) body_args += a.args.size();
+  for (const Atom& h : tgd.head()) head_args += h.args.size();
+  lookup.reserve(body_args + head_args);
+  for (const Atom& a : tgd.body()) {
+    for (Term t : a.args) {
+      if (!t.IsConstant()) lookup.push_back(SlotEntry{t, kUnassigned, false});
+    }
+  }
+  for (const Atom& h : tgd.head()) {
+    for (Term t : h.args) {
+      if (t.IsVariable()) lookup.push_back(SlotEntry{t, kUnassigned, false});
+    }
+  }
+  std::sort(lookup.begin(), lookup.end(),
+            [](const SlotEntry& a, const SlotEntry& b) {
+              return a.term < b.term;
+            });
+  lookup.erase(std::unique(lookup.begin(), lookup.end(),
+                           [](const SlotEntry& a, const SlotEntry& b) {
+                             return a.term == b.term;
+                           }),
+               lookup.end());
+  slot_terms_.reserve(lookup.size());
+
   if (tgd.body().size() == 1) {
     const Atom& a = tgd.body()[0];
-    body_.relation = a.relation;
+    body_relation_ = a.relation;
+    body_arity_ = static_cast<uint32_t>(a.args.size());
+    steps_.reserve(body_arity_ + head_args);
     for (Term t : a.args) {
       if (t.IsConstant()) {
-        body_.steps.push_back(Step{Op::kConstant, 0, t});
+        steps_.push_back(Step{Op::kConstant, 0, t});
         continue;
       }
-      auto [slot, first] = new_slot(t);
-      body_.steps.push_back(Step{first ? Op::kBind : Op::kCheck, slot, t});
+      SlotEntry* e = FindSlot(lookup, t);
+      const bool first = e->slot == kUnassigned;
+      if (first) {
+        e->slot = static_cast<uint32_t>(slot_terms_.size());
+        slot_terms_.push_back(t);
+      }
+      steps_.push_back(Step{first ? Op::kBind : Op::kCheck, e->slot, t});
     }
   } else {
     // The join binds the body slots in the caller's slot array, so its
     // slot order is the plan's.
     body_join_ = std::make_unique<CompiledJoin>(tgd.body());
+    steps_.reserve(head_args);
     for (uint32_t s = 0; s < body_join_->num_slots(); ++s) {
-      new_slot(body_join_->slot_term(s));
+      FindSlot(lookup, body_join_->slot_term(s))->slot = s;
+      slot_terms_.push_back(body_join_->slot_term(s));
     }
   }
   num_body_slots_ = static_cast<uint32_t>(slot_terms_.size());
   // The existentials are the head variables the body left without a slot;
-  // sorted and deduplicated, they are ExistentialVariables().
-  for (const Atom& h : tgd.head()) {
-    for (Term t : h.args) {
-      if (t.IsVariable() && !slot_of.contains(t)) slot_terms_.push_back(t);
-    }
-  }
-  const auto existentials = slot_terms_.begin() + num_body_slots_;
-  std::sort(existentials, slot_terms_.end());
-  slot_terms_.erase(std::unique(existentials, slot_terms_.end()),
-                    slot_terms_.end());
-  for (uint32_t s = num_body_slots_; s < slot_terms_.size(); ++s) {
-    slot_of.emplace(slot_terms_[s], s);
+  // in the lookup's term order they are ExistentialVariables().
+  for (SlotEntry& e : lookup) {
+    if (e.slot != kUnassigned) continue;
+    e.slot = static_cast<uint32_t>(slot_terms_.size());
+    slot_terms_.push_back(e.term);
   }
   num_slots_ = static_cast<uint32_t>(slot_terms_.size());
 
-  std::vector<bool> seen(num_slots_, false);
-  std::vector<bool> exported(num_body_slots_, false);
-  for (uint32_t s = 0; s < num_body_slots_; ++s) seen[s] = true;
+  head_.reserve(tgd.head().size());
   for (const Atom& h : tgd.head()) {
-    CompiledAtom atom{h.relation, {}};
+    const auto begin = static_cast<uint32_t>(steps_.size());
     for (Term t : h.args) {
-      auto it = slot_of.find(t);
-      if (t.IsConstant() || it == slot_of.end()) {
-        atom.steps.push_back(Step{Op::kConstant, 0, t});
+      SlotEntry* e = t.IsConstant() ? nullptr : FindSlot(lookup, t);
+      if (e == nullptr) {
+        steps_.push_back(Step{Op::kConstant, 0, t});
         continue;
       }
-      uint32_t s = it->second;
-      if (s < num_body_slots_) exported[s] = true;
-      atom.steps.push_back(Step{seen[s] ? Op::kCheck : Op::kBind, s, t});
-      seen[s] = true;
+      // The body binds its slots; an existential is bound by its first
+      // head occurrence.
+      const bool bound = e->slot < num_body_slots_ || e->in_head;
+      e->in_head = true;
+      steps_.push_back(Step{bound ? Op::kCheck : Op::kBind, e->slot, t});
     }
-    head_.push_back(std::move(atom));
+    head_.push_back(
+        HeadAtom{h.relation, begin, static_cast<uint32_t>(steps_.size())});
   }
-  for (uint32_t s = 0; s < num_body_slots_; ++s) {
-    if (exported[s]) exported_slots_.push_back(s);
+  // The exported slots: the body slots the head uses, ascending.
+  auto exported = [&](const SlotEntry& e) {
+    return e.in_head && e.slot < num_body_slots_;
+  };
+  exported_slots_.reserve(
+      std::count_if(lookup.begin(), lookup.end(), exported));
+  for (const SlotEntry& e : lookup) {
+    if (exported(e)) exported_slots_.push_back(e.slot);
   }
+  std::sort(exported_slots_.begin(), exported_slots_.end());
 }
 
 bool CompiledTgd::HasWitness(const Instance& inst, Term* slots,
@@ -88,13 +141,13 @@ bool CompiledTgd::HasWitness(const Instance& inst, Term* slots,
     }
     return FindHomomorphism(tgd_->head(), inst, &seed).has_value();
   }
-  const CompiledAtom& head = head_[0];
-  FactRange rows = inst.FactsOf(head.relation);
-  if (rows.empty() || rows[0].arity() != head.steps.size()) return false;
+  const std::span<const Step> head = HeadSteps(0);
+  FactRange rows = inst.FactsOf(head_[0].relation);
+  if (rows.empty() || rows[0].arity() != head.size()) return false;
   std::span<const uint32_t> postings;
   bool probed = false;
-  for (uint32_t p = 0; p < head.steps.size(); ++p) {
-    const Step& step = head.steps[p];
+  for (uint32_t p = 0; p < head.size(); ++p) {
+    const Step& step = head[p];
     if (step.op == Op::kBind ||
         (step.op == Op::kCheck && step.slot >= num_body_slots_)) {
       continue;  // existential: free in the probe
@@ -107,12 +160,12 @@ bool CompiledTgd::HasWitness(const Instance& inst, Term* slots,
   }
   if (!probed) {
     for (FactRef r : rows) {
-      if (Unify(head.steps, r, slots)) return true;
+      if (Unify(head, r, slots)) return true;
     }
     return false;
   }
   for (uint32_t i : postings) {
-    if (Unify(head.steps, rows[i], slots)) return true;
+    if (Unify(head, rows[i], slots)) return true;
   }
   return false;
 }
@@ -140,7 +193,7 @@ bool CompiledTgd::Fire(Instance* inst, Universe* universe, Term* slots,
 void CompiledTgd::HeadRow(size_t h, const Term* slots,
                           std::vector<Term>* row) const {
   row->clear();
-  for (const Step& step : head_[h].steps) {
+  for (const Step& step : HeadSteps(h)) {
     row->push_back(step.op == Op::kConstant ? step.term : slots[step.slot]);
   }
 }

@@ -14,6 +14,12 @@
 // and every constructor in src/ build nothing else); any non-constant term
 // is treated as a variable.
 //
+// The steps sit in one vector, the body atom's first, then each head
+// atom's. Compiling a plan makes at most five heap allocations, plus a
+// multi-atom body's join: the steps, the head atoms, the slot terms, the
+// exported slots, and a scratch of (term, slot) entries sorted by term that
+// the constructor binary-searches, so a wide TGD compiles in O(n log n).
+//
 // Body matches come in the search order of logic/homomorphism.h: a single
 // body atom is unified with the relation's rows in row order, and bodies of
 // other sizes go through a CompiledJoin over the body, compiled once per
@@ -26,6 +32,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "constraints/tgd.h"
@@ -37,7 +44,7 @@ class CompiledTgd {
   explicit CompiledTgd(const Tgd& tgd);
 
   /// The relation of the body atom; single-atom bodies only.
-  RelationId body_relation() const { return body_.relation; }
+  RelationId body_relation() const { return body_relation_; }
   uint32_t num_body_slots() const { return num_body_slots_; }
   /// Body slots followed by the existential slots.
   uint32_t num_slots() const { return num_slots_; }
@@ -49,7 +56,7 @@ class CompiledTgd {
 
   /// Unifies the (single) body atom with `row`, binding the body slots.
   bool MatchBody(FactRef row, Term* slots) const {
-    return Unify(body_.steps, row, slots);
+    return Unify(BodySteps(), row, slots);
   }
 
   /// Calls `fn(slots)` once per body match in `inst` — every match, or
@@ -62,11 +69,12 @@ class CompiledTgd {
                         const Instance::DeltaMark* delta, Term* slots,
                         Fn&& fn) {
     if (body_join_ == nullptr) {
-      FactRange rows = inst.FactsOf(body_.relation);
+      FactRange rows = inst.FactsOf(body_relation_);
+      const std::span<const Step> steps = BodySteps();
       const size_t end = rows.size();
-      size_t r = delta != nullptr ? inst.DeltaBegin(*delta, body_.relation) : 0;
+      size_t r = delta != nullptr ? inst.DeltaBegin(*delta, body_relation_) : 0;
       for (; r < end; ++r) {
-        if (Unify(body_.steps, rows[r], slots)) fn(slots);
+        if (Unify(steps, rows[r], slots)) fn(slots);
       }
       return;
     }
@@ -116,13 +124,21 @@ class CompiledTgd {
     uint32_t slot;
     Term term;  // the constant, or the variable `slot` stands for
   };
-  struct CompiledAtom {
-    RelationId relation = 0;
-    std::vector<Step> steps;
+  // A head atom: its relation and its steps_[begin, end).
+  struct HeadAtom {
+    RelationId relation;
+    uint32_t begin;
+    uint32_t end;
   };
 
-  static bool Unify(const std::vector<Step>& steps, FactRef row,
-                    Term* slots) {
+  std::span<const Step> BodySteps() const {
+    return {steps_.data(), body_arity_};
+  }
+  std::span<const Step> HeadSteps(size_t h) const {
+    return {steps_.data() + head_[h].begin, head_[h].end - head_[h].begin};
+  }
+
+  static bool Unify(std::span<const Step> steps, FactRef row, Term* slots) {
     if (row.arity() != steps.size()) return false;
     for (uint32_t p = 0; p < steps.size(); ++p) {
       const Step& step = steps[p];
@@ -143,15 +159,18 @@ class CompiledTgd {
   }
 
   const Tgd* tgd_;
-  // The body atom, for single-atom bodies.
-  CompiledAtom body_;
+  // The body atom, for single-atom bodies: its relation, and its steps
+  // steps_[0, body_arity_). A join's body has no steps (body_arity_ 0).
+  RelationId body_relation_ = 0;
+  uint32_t body_arity_ = 0;
   // The join, for bodies of other than one atom; its slots, in its order,
   // are the body slots. Held by pointer: a join is several times the size
   // of the rest of a plan, and most plans have one body atom. Inline, it
   // made every plan of the countermodel and the generic engine bigger, and
   // their construction slower (docs/PERFORMANCE.md).
   std::unique_ptr<CompiledJoin> body_join_;
-  std::vector<CompiledAtom> head_;
+  std::vector<Step> steps_;
+  std::vector<HeadAtom> head_;
   std::vector<Term> slot_terms_;  // the variable behind each slot
   std::vector<uint32_t> exported_slots_;
   uint32_t num_body_slots_ = 0;

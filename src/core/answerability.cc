@@ -250,14 +250,13 @@ StatusOr<Decision> DecideMonotoneAnswerability(const ServiceSchema& schema,
         "DecideMonotoneAnswerability expects a Boolean CQ; use FreezeQuery "
         "for non-Boolean queries");
   }
+  Stages().decisions->Increment();
+  ScopedTimer decide_timer(Stages().decide_us);
+  TraceSpan decide_span("decide");
   TermSet accessible_constants = options.accessible_constants.has_value()
                                      ? *options.accessible_constants
                                      : q.Constants();
   Fragment fragment = schema.constraints().Classify();
-
-  Stages().decisions->Increment();
-  ScopedTimer decide_timer(Stages().decide_us);
-  TraceSpan decide_span("decide");
   if (decide_span.active()) {
     decide_span.AddStr("fragment", FragmentName(fragment));
   }

@@ -256,6 +256,110 @@ TEST_F(ChaseTest, FdRepairConflictAcrossMergeChain) {
   EXPECT_EQ(result.status, ChaseStatus::kFdConflict);
 }
 
+// Trigger dedup under load: R holds 50 keys k_i times 100 values m_j, so
+// each TGD's first round enumerates at least 5,000 body matches, which the
+// engine's dedup table folds onto 50 or 100 exported images, growing
+// several times and emptied between TGDs. Round 1 fires, in row order:
+//   R(x, y) → ∃z S(x, z)         once per k_i (nulls _n0.._n49),
+//   R(x, y) → ∃z S(y, z)         once per m_j (nulls _n50.._n149),
+//   R(x, y) ∧ S(x, z) → T(z)     once per k_i's null, 5,000 matches too;
+// round 2 fires nothing.
+TEST_F(ChaseTest, TriggerDedupFoldsThousandsOfMatchesOntoFewImages) {
+  constexpr int kKeys = 50;
+  constexpr int kValues = 100;
+  ConstraintSet cs;
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
+                       std::vector<Atom>{Atom(s_, {x_, z_})});
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
+                       std::vector<Atom>{Atom(s_, {y_, z_})});
+  cs.tgds.emplace_back(
+      std::vector<Atom>{Atom(r_, {x_, y_}), Atom(s_, {x_, z_})},
+      std::vector<Atom>{Atom(t_, {z_})});
+  std::vector<Term> keys;
+  std::vector<Term> values;
+  for (int i = 0; i < kKeys; ++i) {
+    keys.push_back(universe_.Constant("k" + std::to_string(i)));
+  }
+  for (int j = 0; j < kValues; ++j) {
+    values.push_back(universe_.Constant("m" + std::to_string(j)));
+  }
+  Instance start;
+  for (Term k : keys) {
+    for (Term m : values) start.AddFact(r_, {k, m});
+  }
+  Instance expected = start;
+  for (int i = 0; i < kKeys; ++i) {
+    expected.AddFact(s_, {keys[i], Term::Null(i)});
+    expected.AddFact(t_, {Term::Null(i)});
+  }
+  for (int j = 0; j < kValues; ++j) {
+    expected.AddFact(s_, {values[j], Term::Null(kKeys + j)});
+  }
+  for (bool semi : {true, false}) {
+    SCOPED_TRACE(semi ? "semi-naive" : "naive");
+    Universe universe = universe_;  // nulls from _n0 on each run
+    ChaseOptions options;
+    options.use_semi_naive = semi;
+    ChaseResult result = RunChase(start, cs, &universe, options);
+    EXPECT_EQ(result.status, ChaseStatus::kCompleted);
+    EXPECT_EQ(result.rounds, 2u);
+    EXPECT_EQ(result.tgd_steps, uint64_t{2 * kKeys + kValues});
+    EXPECT_EQ(result.instance.NumFacts(), expected.NumFacts());
+    EXPECT_EQ(result.instance.ToString(universe), expected.ToString(universe));
+  }
+}
+
+// A witness key made stale by a merge in the same FD pass stays stale.
+// Pass 1 over R, with fd R: 0 → 1, in row order: R(n0, ·) stores key
+// (n0); R(k, n0), R(k, a) merge n0 into a, so that key is now stale;
+// R(a, ·) resolves to the representative a, misses the stale (n0) and
+// stores a key of its own. Only pass 2, where R(n0, ·) resolves to (a)
+// too, compares the two values.
+TEST_F(ChaseTest, FdKeyStaleAfterAMergeInTheSamePass) {
+  ConstraintSet cs;
+  cs.fds.emplace_back(r_, std::vector<uint32_t>{0}, 1);
+  Term k = universe_.Constant("k");
+  Term k2 = universe_.Constant("k2");
+  for (bool semi : {true, false}) {
+    SCOPED_TRACE(semi ? "semi-naive" : "naive");
+    ChaseOptions options;
+    options.use_semi_naive = semi;
+    Universe universe = universe_;
+    const Term n0 = universe.FreshNull();
+    const Term n1 = universe.FreshNull();
+    const Term n2 = universe.FreshNull();
+    const Term n3 = universe.FreshNull();
+
+    // Nulls on both sides: pass 2 merges n2 into n1, the older null.
+    Instance start;
+    start.AddFact(r_, {n0, n1});
+    start.AddFact(r_, {k, n0});
+    start.AddFact(r_, {k, a_});
+    start.AddFact(r_, {a_, n2});
+    ChaseResult result = RunChase(start, cs, &universe, options);
+    EXPECT_EQ(result.status, ChaseStatus::kCompleted);
+    EXPECT_EQ(result.egd_merges, 2u);
+    Instance expected;
+    expected.AddFact(r_, {a_, n1});
+    expected.AddFact(r_, {k, a_});
+    EXPECT_EQ(result.instance.ToString(universe), expected.ToString(universe));
+
+    // Constants on both sides: the conflict surfaces in pass 2, after the
+    // second merge of pass 1 (n3 into c). Refreshing the stale key would
+    // find it in pass 1, after one merge.
+    Instance conflict;
+    conflict.AddFact(r_, {n0, b_});
+    conflict.AddFact(r_, {k, n0});
+    conflict.AddFact(r_, {k, a_});
+    conflict.AddFact(r_, {a_, c_});
+    conflict.AddFact(r_, {k2, n3});
+    conflict.AddFact(r_, {k2, c_});
+    ChaseResult failed = RunChase(conflict, cs, &universe, options);
+    EXPECT_EQ(failed.status, ChaseStatus::kFdConflict);
+    EXPECT_EQ(failed.egd_merges, 2u);
+  }
+}
+
 TEST_F(ChaseTest, TraceRecordsFirings) {
   ConstraintSet cs;
   cs.tgds.emplace_back(std::vector<Atom>{Atom(t_, {x_})},
