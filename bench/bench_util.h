@@ -9,7 +9,6 @@
 #include <string>
 
 #include "base/task_pool.h"
-#include "chase/relevance.h"
 #include "obs/histogram.h"
 #include "core/answerability.h"
 #include "obs/json.h"
@@ -175,15 +174,6 @@ inline const char* ShortVerdict(const StatusOr<Decision>& d) {
 /// Job count for bench binaries: RBDA_JOBS when set, else 1.
 inline size_t BenchJobs() { return ResolveJobs(0); }
 
-/// Baseline decide options for bench rows: goal-directed relevance pruning
-/// per RBDA_PRUNE (default on). RBDA_PRUNE=0 reruns the same rows full-Σ —
-/// the prune ablation docs/PERFORMANCE.md tabulates.
-inline DecisionOptions BenchDecideOptions() {
-  DecisionOptions options;
-  options.chase.prune_to_goal = ResolvePrune(-1);
-  return options;
-}
-
 /// Verdict tally of a decision sweep; identical serial vs parallel.
 struct SweepResult {
   int answerable = 0;
@@ -237,8 +227,6 @@ inline SweepResult DecisionSweep(SweepFamily family, uint64_t seeds,
     ConjunctiveQuery q = GenerateQuery(schema, 2, 3, &rng);
     DecisionOptions options;
     options.linear_depth_cap = 400;
-    // Goal-directed by default; RBDA_PRUNE=0 runs the ablation sweep.
-    options.chase.prune_to_goal = ResolvePrune(-1);
     StatusOr<Decision> d = DecideMonotoneAnswerability(schema, q, options);
     SweepResult r;
     if (!d.ok()) {

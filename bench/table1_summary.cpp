@@ -74,7 +74,7 @@ void Compare(const ServiceSchema& schema, const ServiceSchema& simplified,
 RowStats IdsRow(size_t jobs) {
   return SeedSweep(jobs, 25, [](uint64_t seed) {
     RowStats stats;
-    DecisionOptions options = BenchDecideOptions();
+    DecisionOptions options;
     options.linear_depth_cap = 800;
     Universe u;
     Rng rng(seed);
@@ -94,7 +94,7 @@ RowStats IdsRow(size_t jobs) {
 RowStats BwIdsRow(size_t jobs) {
   return SeedSweep(jobs, 25, [](uint64_t seed) {
     RowStats stats;
-    DecisionOptions options = BenchDecideOptions();
+    DecisionOptions options;
     options.linear_depth_cap = 800;
     Universe u;
     Rng rng(seed * 5 + 2);
@@ -115,7 +115,7 @@ RowStats BwIdsRow(size_t jobs) {
 RowStats FdsRow(size_t jobs) {
   return SeedSweep(jobs, 25, [](uint64_t seed) {
     RowStats stats;
-    DecisionOptions naive = BenchDecideOptions();
+    DecisionOptions naive;
     naive.force_naive = true;
     Universe u;
     Rng rng(seed * 7 + 3);
@@ -130,7 +130,7 @@ RowStats FdsRow(size_t jobs) {
     // Decide original via the FD pipeline, simplified via the
     // assumption-free naive reduction.
     StatusOr<Decision> a =
-        DecideMonotoneAnswerability(schema, q, BenchDecideOptions());
+        DecideMonotoneAnswerability(schema, q);
     StatusOr<Decision> b =
         DecideMonotoneAnswerability(FdSimplification(schema), q, naive);
     ++stats.total;
@@ -157,7 +157,7 @@ RowStats UidFdRow(size_t jobs) {
     fam.prefix = "M" + std::to_string(seed);
     ServiceSchema schema = GenerateUidFdSchema(&u, fam, &rng);
     ConjunctiveQuery q = GenerateQuery(schema, 2, 2, &rng);
-    Compare(schema, ChoiceSimplification(schema), q, BenchDecideOptions(),
+    Compare(schema, ChoiceSimplification(schema), q, DecisionOptions{},
             &stats);
     return stats;
   });
@@ -167,7 +167,7 @@ RowStats TgdRow(size_t jobs) {
   constexpr uint32_t kBounds[] = {1u, 7u, 50u};
   return SeedSweep(jobs, std::size(kBounds), [&](uint64_t seed) {
     RowStats stats;
-    DecisionOptions budget = BenchDecideOptions();
+    DecisionOptions budget;
     budget.chase.max_rounds = 80;
     uint32_t bound = kBounds[seed - 1];
     Universe u;
@@ -295,7 +295,7 @@ void BM_Table1RegenerationLite(benchmark::State& state) {
     ServiceSchema schema = GenerateIdSchema(&u, fam, &rng);
     ConjunctiveQuery q = GenerateQuery(schema, 2, 2, &rng);
     RowStats stats;
-    DecisionOptions options = BenchDecideOptions();
+    DecisionOptions options;
     options.linear_depth_cap = 400;
     Compare(schema, ExistenceCheckSimplification(schema), q, options, &stats);
     benchmark::DoNotOptimize(stats);

@@ -118,9 +118,9 @@ uint64_t CountCardinalityTargets(const Instance& instance,
 namespace {
 
 // Handles into the default registry, resolved once per process. Goal
-// checks count under the containment.* namespace: testing Q' against the
-// chased instance IS the homomorphism check the containment engines are
-// built from (docs/OBSERVABILITY.md).
+// checks and a frontier round's activeness tests count under the
+// containment.* namespace: testing Q' against the chased instance IS the
+// homomorphism check containment is built from (docs/OBSERVABILITY.md).
 struct ChaseMetrics {
   Counter* runs;
   Counter* rounds;
@@ -135,6 +135,7 @@ struct ChaseMetrics {
   Counter* exhausted_facts;
   Counter* hom_checks;
   Counter* hom_checks_ok;
+  Counter* activeness_checks;
   Distribution* run_us;
   Distribution* rounds_per_run;
   Distribution* delta_size;
@@ -157,6 +158,7 @@ const ChaseMetrics& Metrics() {
         r.GetCounter("chase.exhausted.facts"),
         r.GetCounter("containment.hom_checks"),
         r.GetCounter("containment.hom_checks.succeeded"),
+        r.GetCounter("containment.activeness_checks"),
         r.GetDistribution("chase.run_us"),
         r.GetDistribution("chase.rounds_per_run"),
         r.GetDistribution("chase.delta.size"),
@@ -251,33 +253,16 @@ class IndexTable {
 
 class Engine {
  public:
-  Engine(const Instance& start, const ConstraintSet& constraints,
-         Universe* universe, const ChaseOptions& options,
+  Engine(const Instance& start, const std::vector<Tgd>& tgds,
+         const std::vector<Fd>& fds, Universe* universe,
+         const ChaseOptions& options,
          const std::vector<CardinalityRule>& rules)
-      : constraints_(constraints),
+      : tgds_(tgds),
+        fds_(fds),
         universe_(universe),
         options_(options),
         rules_(rules) {
     result_.instance = start;
-    // Each TGD is compiled once per chase. Goal-directed pruning
-    // (chase/relevance.h) leaves the irrelevant ones uncompiled; plan_tgd_
-    // keeps ChaseStep::tgd_index indexing the caller's ConstraintSet.
-    const std::vector<bool>* relevant = options_.relevant_relations;
-    uint32_t num_slots = 0;
-    plans_.reserve(constraints_.tgds.size());
-    for (size_t i = 0; i < constraints_.tgds.size(); ++i) {
-      const Tgd& tgd = constraints_.tgds[i];
-      if (relevant != nullptr && !TgdIsRelevant(tgd, *relevant)) continue;
-      num_slots = std::max(num_slots, plans_.emplace_back(tgd).num_slots());
-      plan_tgd_.push_back(i);
-    }
-    slots_.resize(num_slots);
-    if (relevant != nullptr) {
-      rule_enabled_.reserve(rules_.size());
-      for (const CardinalityRule& rule : rules_) {
-        rule_enabled_.push_back(CardinalityRuleIsRelevant(rule, *relevant));
-      }
-    }
   }
 
   ChaseResult Run(const std::vector<std::vector<Atom>>* goals,
@@ -318,7 +303,9 @@ class Engine {
     // newly satisfy a goal.
     std::vector<GoalMatcher> matchers;
     if (goals != nullptr) {
-      for (const std::vector<Atom>& goal : *goals) matchers.emplace_back(goal);
+      for (const std::vector<Atom>& goal : *goals) {
+        matchers.emplace_back(goal, options_.inject_stale_goal_for_testing);
+      }
     }
     auto goal_holds = [&](const Instance::DeltaMark* delta) {
       for (GoalMatcher& matcher : matchers) {
@@ -341,6 +328,7 @@ class Engine {
       result_.status = ChaseStatus::kCompleted;
       return std::move(result_);
     }
+    Compile();
 
     // Facts visible at the start of the previous round's firing phase;
     // valid only while no EGD rebuild intervened (see chase.h).
@@ -361,7 +349,8 @@ class Engine {
       } else {
         Metrics().delta_full_rounds->Increment();
       }
-      uint64_t fired = FireTgdRound(round, delta);
+      uint64_t fired = frontier_rounds_ ? FireFrontierRound(round, delta)
+                                        : FireTgdRound(round, delta);
       if (!budget_tripped_) fired += FireCardinalityRound(delta);
       if (TraceEnabled()) {
         TraceEventRecord(
@@ -406,14 +395,61 @@ class Engine {
   }
 
  private:
+  // Compiles each TGD once per chase, after the start's goal check, so a
+  // run whose goal already holds compiles nothing. Goal-directed pruning
+  // (chase/relevance.h) leaves the irrelevant TGDs and rules out; plan_tgd_
+  // keeps ChaseStep::tgd_index indexing the caller's TGD list. Picks
+  // frontier rounds when nothing but one-body-atom TGDs can fire.
+  void Compile() {
+    const std::vector<bool>* relevant = options_.relevant_relations;
+    uint32_t num_slots = 0;
+    RelationId max_body = 0;
+    frontier_rounds_ = fds_.empty() && rules_.empty();
+    plans_.reserve(tgds_.size());
+    for (size_t i = 0; i < tgds_.size(); ++i) {
+      const Tgd& tgd = tgds_[i];
+      if (relevant != nullptr && !TgdIsRelevant(tgd, *relevant)) continue;
+      const CompiledTgd& plan = plans_.emplace_back(tgd);
+      num_slots = std::max(num_slots, plan.num_slots());
+      plan_tgd_.push_back(i);
+      frontier_rounds_ = frontier_rounds_ && tgd.body().size() == 1;
+      if (frontier_rounds_) max_body = std::max(max_body, plan.body_relation());
+    }
+    slots_.resize(num_slots);
+    if (relevant != nullptr) {
+      rule_enabled_.reserve(rules_.size());
+      for (const CardinalityRule& rule : rules_) {
+        rule_enabled_.push_back(CardinalityRuleIsRelevant(rule, *relevant));
+      }
+    }
+    if (!frontier_rounds_ || plans_.empty()) return;
+    // The by-body-relation index: plan indices grouped by body relation,
+    // in TGD order within a group; relation r's group is
+    // by_body_[body_begin_[r], body_begin_[r + 1]).
+    by_body_.resize(plans_.size());
+    std::iota(by_body_.begin(), by_body_.end(), 0u);
+    std::sort(by_body_.begin(), by_body_.end(), [&](uint32_t a, uint32_t b) {
+      return std::pair(plans_[a].body_relation(), a) <
+             std::pair(plans_[b].body_relation(), b);
+    });
+    body_begin_.resize(size_t{max_body} + 2);
+    size_t k = 0;
+    for (size_t r = 0; r < body_begin_.size(); ++r) {
+      while (k < by_body_.size() && plans_[by_body_[k]].body_relation() < r) {
+        ++k;
+      }
+      body_begin_[r] = static_cast<uint32_t>(k);
+    }
+  }
+
   // Fires all TGD triggers that are active at the start of the round
-  // (re-checking activeness right before each firing). When `delta` is
-  // non-null, only enumerates triggers with at least one body atom in the
-  // delta (semi-naive); pre-delta triggers were handled in earlier rounds.
-  // Stops early (budget_tripped_) when a firing pushes the instance past
-  // the fact budget. Returns the number of firings.
+  // (re-checking activeness right before each firing), TGD by TGD. When
+  // `delta` is non-null, only enumerates triggers with at least one body
+  // atom in the delta (semi-naive); pre-delta triggers were handled in
+  // earlier rounds. Stops early when a firing trips the fact budget.
+  // Returns the number of firings.
   uint64_t FireTgdRound(uint64_t round, const Instance::DeltaMark* delta) {
-    uint64_t fired = 0;
+    const uint64_t steps = result_.tgd_steps;
     Instance& inst = result_.instance;
     for (size_t k = 0; k < plans_.size(); ++k) {
       CompiledTgd& plan = plans_[k];
@@ -450,34 +486,74 @@ class Engine {
         if (plan.HasWitness(inst, slots_.data(), &row_)) {
           continue;  // not active: head witness already exists
         }
-        // Fire: fresh nulls for the existential slots, then the head
-        // rows. A row-id-cap overflow degrades like a fact-budget trip
-        // (the caller sees kBudgetExceeded/kFacts) instead of aborting.
         created_.clear();
-        if (!plan.Fire(&inst, universe_, slots_.data(), &row_, &created_)) {
-          budget_tripped_ = true;
-          return fired;
-        }
-        ++fired;
-        ++result_.tgd_steps;
-        Metrics().triggers_tgd->Increment();
-        Metrics().facts_created->Increment(created_.size());
-        if (options_.record_trace) {
-          // Record the full body homomorphism plus the fresh witnesses so
-          // consumers (plan extraction) can reconstruct both the trigger
-          // facts and the created facts.
-          result_.trace.push_back(
-              ChaseStep{plan_tgd_[k], plan.Bindings(slots_.data()),
-                        std::vector<Fact>(created_.begin(), created_.end()),
-                        round});
-        }
-        if (inst.NumFacts() > options_.max_facts) {
-          budget_tripped_ = true;
-          return fired;
-        }
+        if (!FireTrigger(k, round, &created_)) break;
       }
+      if (budget_tripped_) break;
     }
-    return fired;
+    return result_.tgd_steps - steps;
+  }
+
+  // A frontier round, for TGDs with one body atom (see chase.h): goes
+  // through the frontier fact by fact and fires, for each fact, the TGDs
+  // whose body atom it matches, in TGD order. The frontier is the facts
+  // the previous round created, in creation order; with `delta` null, every
+  // fact in ForEachFact order. Firings only append, so the frontier's row
+  // views stay valid. Stops early when a firing trips the fact budget.
+  // Returns the number of firings.
+  uint64_t FireFrontierRound(uint64_t round, const Instance::DeltaMark* delta) {
+    const uint64_t steps = result_.tgd_steps;
+    Instance& inst = result_.instance;
+    if (delta == nullptr) {
+      frontier_.clear();
+      inst.ForEachFact([&](FactRef f) { frontier_.push_back(f); });
+    }
+    created_.clear();  // the next round's frontier
+    for (FactRef fact : frontier_) {
+      const size_t rel = fact.relation();
+      if (rel + 1 >= body_begin_.size()) continue;
+      for (uint32_t i = body_begin_[rel]; i < body_begin_[rel + 1]; ++i) {
+        const CompiledTgd& plan = plans_[by_body_[i]];
+        if (!plan.MatchBody(fact, slots_.data())) continue;
+        Metrics().activeness_checks->Increment();
+        if (plan.HasWitness(inst, slots_.data(), &row_)) continue;
+        if (!FireTrigger(by_body_[i], round, &created_)) break;
+      }
+      if (budget_tripped_) break;
+    }
+    frontier_.swap(created_);
+    return result_.tgd_steps - steps;
+  }
+
+  // Fires plan k's trigger, bound in slots_: fresh nulls for the
+  // existential slots, then the head rows, appended to `created`. False
+  // when it trips the fact budget (budget_tripped_); a row-id-cap overflow
+  // degrades the same way (kBudgetExceeded/kFacts) instead of aborting.
+  bool FireTrigger(size_t k, uint64_t round, std::vector<FactRef>* created) {
+    Instance& inst = result_.instance;
+    const CompiledTgd& plan = plans_[k];
+    const size_t before = created->size();
+    if (!plan.Fire(&inst, universe_, slots_.data(), &row_, created)) {
+      budget_tripped_ = true;
+      return false;
+    }
+    ++result_.tgd_steps;
+    Metrics().triggers_tgd->Increment();
+    Metrics().facts_created->Increment(created->size() - before);
+    if (options_.record_trace) {
+      // Record the full body homomorphism plus the fresh witnesses so
+      // consumers (plan extraction) can reconstruct both the trigger facts
+      // and the created facts.
+      result_.trace.push_back(ChaseStep{
+          plan_tgd_[k], plan.Bindings(slots_.data()),
+          std::vector<Fact>(created->begin() + before, created->end()),
+          round});
+    }
+    if (inst.NumFacts() > options_.max_facts) {
+      budget_tripped_ = true;
+      return false;
+    }
+    return true;
   }
 
   // Fires the naive §3 cardinality-transfer rules: see CardinalityRule.
@@ -540,7 +616,7 @@ class Engine {
   // fact's determiner values; the fact itself ends the walk at the latest.
   bool NewFactViolatesFd(const Instance::DeltaMark* since) const {
     const Instance& inst = result_.instance;
-    for (const Fd& fd : constraints_.fds) {
+    for (const Fd& fd : fds_) {
       const FactRange rows = inst.FactsOf(fd.relation);
       for (uint32_t r = since ? inst.DeltaBegin(*since, fd.relation) : 0;
            r < rows.size(); ++r) {
@@ -586,7 +662,7 @@ class Engine {
   // yet, would merge, so merges and their order are those of the loop
   // alone.
   bool ApplyFdsToFixpoint(const Instance::DeltaMark* since) {
-    if (constraints_.fds.empty() || !NewFactViolatesFd(since)) return true;
+    if (fds_.empty() || !NewFactViolatesFd(since)) return true;
     std::unordered_map<Term, Term, TermHash> parent;
     auto find = [&](Term t) {
       Term root = t;
@@ -607,7 +683,7 @@ class Engine {
     bool changed = true;
     while (changed) {
       changed = false;
-      for (const Fd& fd : constraints_.fds) {
+      for (const Fd& fd : fds_) {
         // The first fact per resolved determiner tuple is the witness: its
         // tuple goes to fd_keys_ (tuples back to back) and its value to
         // fd_values_, which a merge updates to the representative. A
@@ -663,18 +739,25 @@ class Engine {
     return true;
   }
 
-  const ConstraintSet& constraints_;
+  const std::vector<Tgd>& tgds_;
+  const std::vector<Fd>& fds_;
   Universe* universe_;
   const ChaseOptions& options_;
   const std::vector<CardinalityRule>& rules_;
   ChaseResult result_;
-  // The enabled TGDs' trigger plans, and each one's index into
-  // constraints_.tgds; see ctor.
+  // The enabled TGDs' trigger plans, and each one's index into tgds_; see
+  // Compile.
   std::vector<CompiledTgd> plans_;
   std::vector<size_t> plan_tgd_;
+  // Frontier rounds (see Compile): the plans by body relation, and the
+  // facts the next round fires on.
+  bool frontier_rounds_ = false;
+  std::vector<uint32_t> by_body_;
+  std::vector<uint32_t> body_begin_;
+  std::vector<FactRef> frontier_;
   // Scratch reused by every round: one slot array, the triggers of the
   // TGD being fired (body-slot tuples back to back), a head row, and the
-  // rows a firing created.
+  // rows a firing created (a frontier round's whole output).
   std::vector<Term> slots_;
   std::vector<Term> triggers_;
   std::vector<Term> row_;
@@ -698,7 +781,8 @@ class Engine {
 ChaseResult RunChase(const Instance& start, const ConstraintSet& constraints,
                      Universe* universe, const ChaseOptions& options,
                      const std::vector<CardinalityRule>& cardinality_rules) {
-  Engine engine(start, constraints, universe, options, cardinality_rules);
+  Engine engine(start, constraints.tgds, constraints.fds, universe, options,
+                cardinality_rules);
   return engine.Run(nullptr, nullptr);
 }
 
@@ -708,16 +792,16 @@ ChaseResult RunChaseUntil(
     bool* goal_reached, const ChaseOptions& options,
     const std::vector<CardinalityRule>& cardinality_rules) {
   std::vector<std::vector<Atom>> goals{goal_atoms};
-  Engine engine(start, constraints, universe, options, cardinality_rules);
-  return engine.Run(&goals, goal_reached);
+  return RunChaseUntilAny(start, constraints.tgds, constraints.fds, goals,
+                          universe, goal_reached, options, cardinality_rules);
 }
 
 ChaseResult RunChaseUntilAny(
-    const Instance& start, const ConstraintSet& constraints,
-    const std::vector<std::vector<Atom>>& goals, Universe* universe,
-    bool* goal_reached, const ChaseOptions& options,
+    const Instance& start, const std::vector<Tgd>& tgds,
+    const std::vector<Fd>& fds, const std::vector<std::vector<Atom>>& goals,
+    Universe* universe, bool* goal_reached, const ChaseOptions& options,
     const std::vector<CardinalityRule>& cardinality_rules) {
-  Engine engine(start, constraints, universe, options, cardinality_rules);
+  Engine engine(start, tgds, fds, universe, options, cardinality_rules);
   return engine.Run(&goals, goal_reached);
 }
 

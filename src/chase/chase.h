@@ -20,8 +20,25 @@
 //   * when ChaseOptions::use_semi_naive is off (ablation/testing).
 // Goal checks in RunChaseUntil* are delta-restricted under the same rules.
 // Each enabled TGD is compiled once per chase into a trigger plan
-// (chase/trigger_plan.h): triggers are materialized as slot tuples,
-// deduplicated by their exported slots, and fired from the slots.
+// (chase/trigger_plan.h), after the start's goal check, so a run whose goal
+// already holds compiles nothing.
+//
+// One engine, two orders of firing within a round, picked from the input:
+//   * Frontier rounds, when there are no FDs and no cardinality rules and
+//     every TGD the run compiles has one body atom (IDs and linear TGDs,
+//     the Johnson–Klug tier of chase/containment.h). Round k goes through
+//     the facts round k-1 created (round 1: every start fact, in
+//     ForEachFact order) in creation order, and fires each fact's TGDs in
+//     TGD order, found through a by-body-relation index; each activeness
+//     test counts in containment.activeness_checks. A trigger has one body
+//     fact, so round k creates exactly the facts of derivation depth k: a
+//     depth bound is a max_rounds bound (DESIGN.md, "Frontier rounds").
+//     Without use_semi_naive the frontier is every fact, in ForEachFact
+//     order, which is the naive reference.
+//   * TGD-major rounds otherwise: TGD by TGD, each TGD's triggers are
+//     materialized as slot tuples, deduplicated by their exported slots,
+//     and fired from the slots. A round's delta has no upper end, so a
+//     round can fire on facts created earlier in the same round.
 //
 // FD repair runs after every round (and once before round 1). It first
 // checks only the facts added since the previous repair (every fact on the
@@ -118,17 +135,18 @@ struct ChaseOptions {
   /// engines compute the relations backward-reachable from their goal and
   /// skip every TGD with no relevant head relation and every cardinality
   /// rule with an irrelevant target. Sound over-approximation — exact
-  /// relevance is undecidable. Escape hatch: --prune=off / RBDA_PRUNE=0.
-  /// No effect on plain RunChase (which has no goal to prune toward).
+  /// relevance is undecidable. Tests and the goal-pruned-vs-full fuzz
+  /// checker turn it off for their reference run. No effect on plain
+  /// RunChase (which has no goal to prune toward).
   bool prune_to_goal = true;
   /// Test-only hook (rbda_fuzz --inject-bug=overprune): deliberately drop
   /// one relevant relation from the computed set so the
   /// goal-pruned-vs-full checker can prove it catches unsound pruning.
   bool inject_overprune_for_testing = false;
-  /// Test-only hook (rbda_fuzz --inject-bug=stale-goal): the linear
-  /// engine's goal matcher stops re-checking unmatched goal components
-  /// after the first depth (logic/homomorphism.h), so the
-  /// linear-vs-generic checker can prove it catches a missed goal.
+  /// Test-only hook (rbda_fuzz --inject-bug=stale-goal): the engine's goal
+  /// matchers stop re-checking unmatched goal components after the first
+  /// round (logic/homomorphism.h), so the linear-vs-generic checker can
+  /// prove it catches a missed goal.
   bool inject_stale_goal_for_testing = false;
   /// Set internally by the containment engines when prune_to_goal is on:
   /// the relevance bitset (indexed by RelationId) the chase restricts
@@ -148,7 +166,7 @@ enum class ChaseStatus {
 /// result distinguishes them.
 enum class ChaseExhausted {
   kNone,    // status != kBudgetExceeded
-  kRounds,  // hit ChaseOptions::max_rounds (or the linear depth bound)
+  kRounds,  // hit ChaseOptions::max_rounds (a linear check's depth bound)
   kFacts,   // hit ChaseOptions::max_facts
 };
 
@@ -189,12 +207,13 @@ ChaseResult RunChaseUntil(const Instance& start,
                           const ChaseOptions& options = {},
                           const std::vector<CardinalityRule>& cardinality_rules = {});
 
-/// Disjunctive-goal variant: stops as soon as ANY of the goals holds
-/// (UCQ right-hand sides).
+/// Disjunctive-goal variant over separate TGD and FD lists: stops as soon
+/// as ANY of the goals holds (UCQ right-hand sides). The containment
+/// driver's entry; ChaseStep::tgd_index indexes `tgds`.
 ChaseResult RunChaseUntilAny(
-    const Instance& start, const ConstraintSet& constraints,
-    const std::vector<std::vector<Atom>>& goals, Universe* universe,
-    bool* goal_reached, const ChaseOptions& options = {},
+    const Instance& start, const std::vector<Tgd>& tgds,
+    const std::vector<Fd>& fds, const std::vector<std::vector<Atom>>& goals,
+    Universe* universe, bool* goal_reached, const ChaseOptions& options = {},
     const std::vector<CardinalityRule>& cardinality_rules = {});
 
 }  // namespace rbda

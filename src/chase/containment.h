@@ -1,31 +1,27 @@
 // Query containment under constraints: Q ⊆_Σ Q'.
 //
-// Two engines:
+// Two front ends, one chase engine (chase/chase.h):
 //  * CheckContainment — generic: chase CanonDB(Q) with Σ, test Q' after
 //    every round. Sound always; complete whenever the chase terminates
 //    (e.g. FDs + full TGDs, weakly-acyclic TGDs). Reports kUnknown when a
 //    budget runs out before termination.
-//  * CheckLinearContainment — the Johnson–Klug-style engine for *linear*
-//    TGDs (single body atom): a depth-bounded breadth-first chase which is
-//    sound AND complete when run to the JK depth bound for IDs / linear
-//    TGDs of bounded semi-width (paper Prop 5.6 / E.8). This is the engine
-//    behind the paper's NP results after linearization. Each check
-//    compiles its TGDs once into trigger plans (chase/trigger_plan.h):
-//    the body atom is unified directly against each frontier row,
-//    activeness is a row lookup or one posting probe, nulls are minted
-//    in ExistentialVariables() order, and frontiers are FactRef row views
-//    into the append-only instance. No Instance, Substitution or
-//    std::function is built per fact or per trigger; the chase — facts,
-//    order, nulls — must stay the restricted chase a generic homomorphism
-//    search over the same TGDs would run (tests/linear_chase_test.cpp
-//    pins it).
+//  * CheckLinearContainment — the Johnson–Klug tier for *linear* TGDs
+//    (single body atom): the same engine, with max_rounds set to a depth
+//    bound. On such Σ the engine runs frontier rounds, so round k creates
+//    exactly the facts of derivation depth k, and the chase is sound AND
+//    complete when run to the JK depth bound for IDs / linear TGDs of
+//    bounded semi-width (paper Prop 5.6 / E.8). This is the tier behind the
+//    paper's NP results after linearization. A run the bound stops still
+//    reads kNotContained; the caller knows whether the bound was the JK
+//    bound. tests/linear_chase_test.cpp pins the chase: facts, order,
+//    nulls.
 //
-// The generic engine's TGD rounds (chase.cc) and the witness-reuse
-// countermodel tier (relevance.h) run on the same plans: every
-// saturation loop behind a containment check unifies rows into slot
-// arrays instead of building a Substitution per trigger.
+// Every saturation loop behind a containment check — the engine's rounds
+// and the witness-reuse countermodel tier (relevance.h) — runs on compiled
+// trigger plans (chase/trigger_plan.h), unifying rows into slot arrays
+// instead of building a Substitution per trigger.
 //
-// Both engines test the goal after every round through one incremental
+// The engine tests the goal after every round through one incremental
 // GoalMatcher (logic/homomorphism.h): the goal splits into connected
 // components, a component stays matched once it has a match, and each
 // round delta-checks only the unmatched components — so a never-matching
@@ -43,9 +39,10 @@
 //  3. Witness-reuse countermodel: kNotContained when a finite model of
 //     the full constraint set extending the start refutes every goal.
 //     It declines at once when a goal already holds in the start.
-//  4. The engine tier: the generic chase, or the Johnson–Klug depth loop.
+//  4. The engine tier: the chase, bounded by max_rounds (for the
+//     Johnson–Klug tier, the depth bound) and max_facts.
 // Tiers 1–3 run only in goal-directed mode (ChaseOptions::prune_to_goal,
-// the default; disable via --prune=off/RBDA_PRUNE), and tiers 2–3 only
+// the default; tests turn it off for a reference run), and tiers 2–3 only
 // when Σ has no FDs: a conflict would make the containment vacuously
 // true, which neither sees. Pruned and unpruned runs agree on every
 // definite verdict (the pruned run may be MORE definite where the full
@@ -74,8 +71,7 @@ enum class ContainmentVerdict {
 
 struct ContainmentOutcome {
   ContainmentVerdict verdict = ContainmentVerdict::kUnknown;
-  ChaseResult chase;      // final chase state (proof when kContained)
-  uint64_t depth_reached = 0;  // linear engine only
+  ChaseResult chase;  // final chase state (proof when kContained)
 };
 
 /// Generic containment check for Boolean CQs: Q ⊆_Σ Q'.
@@ -122,13 +118,12 @@ ContainmentOutcome CheckLinearContainment(const ConjunctiveQuery& q,
                                           uint64_t max_facts = 500000,
                                           const ChaseOptions& options = {});
 
-/// Depth-bounded linear engine starting from an explicit instance. Of the
-/// options bag, the linear engine honors prune_to_goal and the
-/// inject_*_for_testing hooks (depth/fact budgets are the explicit
-/// parameters). A run the depth bound stops with a non-empty frontier
-/// reports kNotContained with status kBudgetExceeded and exhausted =
-/// kRounds: the verdict is a decision only when `max_depth` is the JK
-/// bound.
+/// Depth-bounded linear check starting from an explicit instance: the
+/// engine runs with max_rounds = `max_depth` and max_facts = `max_facts`,
+/// which override those two fields of `options`. A run the depth bound
+/// stops with a non-empty frontier reports kNotContained with status
+/// kBudgetExceeded and exhausted = kRounds: the verdict is a decision only
+/// when `max_depth` is the JK bound. chase.rounds is the depth reached.
 ContainmentOutcome CheckLinearContainmentFrom(
     const Instance& start, const std::vector<Atom>& goal,
     const std::vector<Tgd>& linear_tgds, Universe* universe,

@@ -1,8 +1,6 @@
 #include "chase/relevance.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 
 #include "chase/trigger_plan.h"
 
@@ -275,16 +273,6 @@ std::optional<Instance> CounterModelRefutesGoals(
 
   if (some_goal_holds(m)) return std::nullopt;
   return m;
-}
-
-bool ResolvePrune(int requested) {
-  if (requested >= 0) return requested != 0;
-  const char* env = std::getenv("RBDA_PRUNE");
-  if (env != nullptr && *env != '\0') {
-    std::string v(env);
-    if (v == "0" || v == "off" || v == "OFF" || v == "false") return false;
-  }
-  return true;
 }
 
 }  // namespace rbda

@@ -143,12 +143,6 @@ std::optional<Instance> CounterModelRefutesGoals(
     const std::vector<Tgd>& tgds, const std::vector<CardinalityRule>& rules,
     Universe* universe, size_t max_facts = 4096, size_t max_rounds = 64);
 
-/// Resolves the effective pruning mode the way ResolveJobs resolves the
-/// worker count: an explicit request (0 = off, 1 = on) wins; -1 = unset
-/// consults the RBDA_PRUNE environment variable ("0"/"off"/"false"
-/// disable); the default is on.
-bool ResolvePrune(int requested);
-
 }  // namespace rbda
 
 #endif  // RBDA_CHASE_RELEVANCE_H_

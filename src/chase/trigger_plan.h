@@ -1,7 +1,6 @@
 // Compiled trigger plans: the one TGD representation every saturation
-// loop runs on — the Johnson–Klug depth loop (containment.cc), the
-// witness-reuse countermodel (relevance.cc) and the generic restricted
-// chase (chase.cc).
+// loop runs on — the witness-reuse countermodel (relevance.cc) and the
+// restricted chase's rounds, frontier and TGD-major (chase.cc).
 //
 // A TGD is compiled once into dense slots: the body variables in
 // first-occurrence order, then the existential variables in

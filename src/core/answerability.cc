@@ -77,7 +77,6 @@ void FillStats(Decision* d, const ContainmentOutcome& outcome) {
   d->chase_rounds = outcome.chase.rounds;
   d->chase_facts = outcome.chase.instance.NumFacts();
   d->tgd_steps = outcome.chase.tgd_steps;
-  d->depth_reached = outcome.depth_reached;
   d->exhausted = outcome.chase.exhausted;
 }
 
@@ -122,7 +121,7 @@ ConjunctiveQuery MinimizeUnderFds(const ConjunctiveQuery& q,
   return ConjunctiveQuery(std::move(atoms), q.free_variables()).Minimize();
 }
 
-// Builds the containment problem the linear engine runs on. The IDs row
+// Builds the containment problem the linear check runs on. The IDs row
 // linearizes the schema and query as they are (existence-check regime).
 // The UIDs+FDs row applies choice simplification (Thm 6.4), minimizes the
 // query under the FDs, exports DetBy(mt) and drops the FDs (separability,
@@ -192,6 +191,7 @@ StatusOr<Decision> LinearPipeline(const ServiceSchema& schema,
   d.verdict = FromVerdict(outcome.verdict);
   d.gamma_size = lin->tgds.size();
   d.depth_bound = lin->jk_depth_bound;
+  d.depth_reached = outcome.chase.rounds;  // a frontier round is one level
   FillStats(&d, outcome);
   // A kNotContained verdict is a decision when the chase either terminated
   // on its own or ran to the full JK bound; a chase the depth cap stopped

@@ -10,7 +10,7 @@
 //       (EXPTIME in general, NP for bounded width — Thms 5.3 / 5.4).
 //   UIDs + FDs — choice simplification (Thm 6.4), query minimization under
 //       the FDs, separability rewriting exporting DetBy(mt), drop the FDs,
-//       then the linear engine (Thm 7.2, EXPTIME).
+//       then the linear chase (Thm 7.2, EXPTIME).
 //   FGTGDs / TGDs — choice simplification (Thm 6.3) + the generic chase;
 //       sound always, complete when the chase terminates (Thm 7.1 gives
 //       2EXPTIME decidability; our engine is its budgeted proof search).
@@ -59,8 +59,8 @@ struct Decision {
   uint64_t chase_rounds = 0;
   uint64_t chase_facts = 0;
   uint64_t tgd_steps = 0;
-  uint64_t depth_bound = 0;    // linear engine only
-  uint64_t depth_reached = 0;  // linear engine only
+  uint64_t depth_bound = 0;    // linear pipeline only
+  uint64_t depth_reached = 0;  // linear pipeline only: chase rounds
   size_t gamma_size = 0;       // number of TGDs chased
 };
 
@@ -77,10 +77,11 @@ StatusOr<Decision> DecideQueryAnswerability(
     const DecisionOptions& options = {});
 
 /// The linearized containment problem DecideMonotoneAnswerability hands
-/// the Johnson–Klug engine for the IDs and UIDs+FDs rows (it runs the
-/// engine to min(jk_depth_bound, linear_depth_cap)). FailedPrecondition
-/// for the fragments the decider does not linearize. The fuzz battery's
-/// linear-vs-generic checker poses it to both containment engines.
+/// the Johnson–Klug check for the IDs and UIDs+FDs rows (it runs the
+/// chase to min(jk_depth_bound, linear_depth_cap) rounds).
+/// FailedPrecondition for the fragments the decider does not linearize.
+/// The fuzz battery's linear-vs-generic checker poses it to both
+/// containment front ends.
 StatusOr<LinearizedProblem> LinearizeForDecision(
     const ServiceSchema& schema, const ConjunctiveQuery& q,
     const DecisionOptions& options = {});

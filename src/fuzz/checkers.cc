@@ -200,7 +200,7 @@ Status ValidateCountermodel(const Instance& start,
 CheckerOptions::CheckerOptions() {
   decide.chase.max_rounds = 40;
   decide.chase.max_facts = 4000;
-  // The JK engine's per-depth goal checks scale with the instance, so its
+  // The JK tier's per-round goal checks scale with the instance, so its
   // worst case grows ~quadratically in the fact budget; the production
   // caps (300 / 20000) let one adversarial ID case run for minutes and
   // still end incomplete (no signal — the battery skips it). The fuzz
@@ -296,7 +296,7 @@ CheckReport RunCheckerBattery(const ServiceSchema& schema,
     }
   }
 
-  // --- linear-vs-generic: the JK engine against the generic chase. ---
+  // --- linear-vs-generic: the JK check against the naive reference. ---
   if (options.check_linear_generic) {
     bool ran = false;
     StatusOr<LinearizedProblem> lin =
@@ -310,8 +310,12 @@ CheckReport RunCheckerBattery(const ServiceSchema& schema,
       ContainmentOutcome linear = CheckLinearContainmentFrom(
           lin->start, lin->goal, lin->tgds, &universe, depth,
           options.decide.linear_max_facts, linear_opts);
+      // Both sides run frontier rounds. With use_semi_naive off, this
+      // side's frontier is every fact in ForEachFact order and its goal
+      // checks are full, so it shares neither the creation-order frontier
+      // nor the delta goal checks with the Johnson–Klug side.
       ChaseOptions generic_opts = options.decide.chase;
-      generic_opts.use_semi_naive = true;
+      generic_opts.use_semi_naive = false;
       generic_opts.max_rounds = depth;
       generic_opts.max_facts = options.decide.linear_max_facts;
       ConstraintSet sigma;
@@ -333,8 +337,8 @@ CheckReport RunCheckerBattery(const ServiceSchema& schema,
                    std::string(options.inject_stale_goal_bug
                                    ? "stale-goal-injected "
                                    : "") +
-                       "linear engine says " + name(linear.verdict) +
-                       " (depth " + std::to_string(linear.depth_reached) +
+                       "linear check says " + name(linear.verdict) +
+                       " (depth " + std::to_string(linear.chase.rounds) +
                        ") but the generic chase says " +
                        name(generic.verdict) + " (round " +
                        std::to_string(generic.chase.rounds) + ") on " +

@@ -31,10 +31,11 @@
 //    where the full chase tripped its budget) is the designed win, not a
 //    finding.
 //  * linear-vs-generic        — for cases the decider linearizes (IDs,
-//    UIDs+FDs), the Johnson–Klug linear engine against the generic
-//    semi-naive chase run to the same depth and fact budget on the same
-//    linearized problem; definite verdicts (kContained, or kNotContained
-//    from a terminated chase) must agree.
+//    UIDs+FDs), the Johnson–Klug check (semi-naive frontier rounds) against
+//    the generic front end running the naive reference (use_semi_naive
+//    off: every round's frontier is every fact) to the same depth and fact
+//    budget on the same linearized problem; definite verdicts (kContained,
+//    or kNotContained from a terminated chase) must agree.
 //  * fault-injection          — the synthesized monotone plan executed
 //    under N seeded fault plans in partial-result mode must yield outputs
 //    ⊆ the fault-free output (monotonicity ⇒ degradation is a sound
@@ -102,9 +103,9 @@ struct CheckerOptions {
   /// --inject-bug=overprune flag.
   bool inject_overprune_bug = false;
   /// Test-only fault injection for the goal matcher: the
-  /// linear-vs-generic checker runs the linear engine with
+  /// linear-vs-generic checker runs the Johnson–Klug check with
   /// ChaseOptions::inject_stale_goal_for_testing, whose goal matcher stops
-  /// re-checking unmatched goal components after the first depth. The
+  /// re-checking unmatched goal components after the first round. The
   /// checker must catch the goals this misses; never enabled outside
   /// tests / the --inject-bug=stale-goal flag.
   bool inject_stale_goal_bug = false;

@@ -699,7 +699,10 @@ TEST_F(ChasePinTest, ExistentialSharedAcrossThreeHeadAtoms) {
 }
 
 // A body with a repeated variable and a constant: V(x, x, c) → S(x, z),
-// then S(x, y) → T(y).
+// then S(x, y) → T(y). Both TGDs have one body atom, so the chase runs
+// frontier rounds: the S facts round 1 creates fire in round 2, and round 3
+// finds nothing (a TGD-major round fired them in round 1, for rounds=2 with
+// the same steps, nulls and facts).
 TEST_F(ChasePinTest, BodyWithConstantAndRepeatedVariable) {
   RelationId v = *universe_.AddRelation("V", 3);
   Term d = universe_.Constant("d");
@@ -714,11 +717,11 @@ TEST_F(ChasePinTest, BodyWithConstantAndRepeatedVariable) {
   start.AddFact(v, {b_, b_, d});   // constant c does not unify
   start.AddFact(v, {d, d, c_});
   EXPECT_EQ(Chase(start, cs),
-            "rounds=2 tgd_steps=4 facts=8\n"
+            "rounds=3 tgd_steps=4 facts=8\n"
             "step round=1 tgd=0 {x=a z=_n0 } + S(a, _n0)\n"
             "step round=1 tgd=0 {x=d z=_n1 } + S(d, _n1)\n"
-            "step round=1 tgd=1 {x=a y=_n0 } + T(_n0)\n"
-            "step round=1 tgd=1 {x=d y=_n1 } + T(_n1)\n"
+            "step round=2 tgd=1 {x=a y=_n0 } + T(_n0)\n"
+            "step round=2 tgd=1 {x=d y=_n1 } + T(_n1)\n"
             "S(a, _n0)\n"
             "S(d, _n1)\n"
             "T(_n0)\n"
@@ -927,13 +930,13 @@ TEST_F(ChaseTest, LinearContainmentInfiniteChaseDecided) {
   ContainmentOutcome outcome =
       CheckLinearContainment(q, no, ids, &universe_, depth, 500000, unpruned);
   EXPECT_EQ(outcome.verdict, ContainmentVerdict::kNotContained);
-  EXPECT_EQ(outcome.depth_reached, depth);  // ran to the bound
+  EXPECT_EQ(outcome.chase.rounds, depth);  // ran to the bound
   // Goal-directed mode refutes from the relation signature alone: T is not
   // reachable from {R, S}, so the engine answers before expanding a level.
   ContainmentOutcome pruned =
       CheckLinearContainment(q, no, ids, &universe_, depth);
   EXPECT_EQ(pruned.verdict, ContainmentVerdict::kNotContained);
-  EXPECT_EQ(pruned.depth_reached, 0u);
+  EXPECT_EQ(pruned.chase.rounds, 0u);
 }
 
 // The UCQ front end reports like the other two: one containment.checks

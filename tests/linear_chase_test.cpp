@@ -1,8 +1,10 @@
-// Pins the Johnson–Klug linear engine's compiled trigger path and the
-// incremental goal matcher shared with the generic engine: every case
-// asserts the verdict and the work counters (rounds, facts, goal checks,
-// firings) of the restricted chase on it, so a change to either path
-// that alters the chase shows up here.
+// Pins the Johnson–Klug tier — the engine's frontier rounds on linear
+// TGDs — and the incremental goal matcher: every case asserts the verdict
+// and the work counters (rounds, facts, goal checks, firings) of the
+// restricted chase on it, so a change that alters the chase shows up
+// here.
+#include <string>
+
 #include "chase/chase.h"
 #include "chase/containment.h"
 #include "core/answerability.h"
@@ -25,7 +27,6 @@ void ExpectRun(const ContainmentOutcome& o, const Expected& e) {
   EXPECT_EQ(o.verdict, e.verdict);
   EXPECT_EQ(o.chase.status, ChaseStatus::kCompleted);
   EXPECT_EQ(o.chase.rounds, e.rounds);
-  EXPECT_EQ(o.depth_reached, e.rounds);
   EXPECT_EQ(o.chase.instance.NumFacts(), e.facts);
   EXPECT_EQ(o.chase.goal_checks, e.goal_checks);
   EXPECT_EQ(o.chase.tgd_steps, e.tgd_steps);
@@ -50,7 +51,7 @@ class LinearChaseTest : public ::testing::Test {
     d_ = u_.Constant("d");
   }
 
-  // The depth loop itself: no pruning tiers in front of it.
+  // The engine tier itself: no pruning tiers in front of it.
   ContainmentOutcome Linear(const Instance& start,
                             const std::vector<Atom>& goal,
                             const std::vector<Tgd>& tgds,
@@ -211,7 +212,8 @@ TEST_F(LinearChaseTest, UcqGoalSurvivesFdMergeAfterComponentMatched) {
     options.use_semi_naive = semi_naive;
     bool reached = false;
     ChaseResult result =
-        RunChaseUntilAny(start, sigma, goals, &u, &reached, options);
+        RunChaseUntilAny(start, sigma.tgds, sigma.fds, goals, &u, &reached,
+                         options);
     EXPECT_TRUE(reached) << semi_naive;
     EXPECT_EQ(result.status, ChaseStatus::kCompleted);
     EXPECT_EQ(result.rounds, 2u);
@@ -265,7 +267,7 @@ TEST_F(LinearChaseTest, DepthCapReportsRoundsBudget) {
   EXPECT_EQ(capped.verdict, ContainmentVerdict::kNotContained);
   EXPECT_EQ(capped.chase.status, ChaseStatus::kBudgetExceeded);
   EXPECT_EQ(capped.chase.exhausted, ChaseExhausted::kRounds);
-  EXPECT_EQ(capped.depth_reached, 2u);
+  EXPECT_EQ(capped.chase.rounds, 2u);
   EXPECT_EQ(exhausted_rounds->value(), before + 1);
   // A frontier that empties at the cap is a terminated chase.
   ContainmentOutcome done =
@@ -273,8 +275,60 @@ TEST_F(LinearChaseTest, DepthCapReportsRoundsBudget) {
   EXPECT_EQ(done.verdict, ContainmentVerdict::kNotContained);
   EXPECT_EQ(done.chase.status, ChaseStatus::kCompleted);
   EXPECT_EQ(done.chase.exhausted, ChaseExhausted::kNone);
-  EXPECT_EQ(done.depth_reached, 4u);
+  EXPECT_EQ(done.chase.rounds, 4u);
   EXPECT_EQ(exhausted_rounds->value(), before + 1);
+}
+
+// The fact budget stops a linear check inside a round, at the firing that
+// crosses it, as it stops any other chase: 40 P facts each need an S
+// witness, and the 11th firing makes 51 facts. Testing the budget only
+// after a whole depth ended at 80.
+TEST_F(LinearChaseTest, FactBudgetStopsInsideARound) {
+  std::vector<Tgd> tgds;
+  tgds.emplace_back(std::vector<Atom>{Atom(p_, {x_})},
+                    std::vector<Atom>{Atom(s_, {x_, y_})});
+  Instance start;
+  for (int i = 0; i < 40; ++i) {
+    start.AddFact(p_, {u_.Constant("k" + std::to_string(i))});
+  }
+  ChaseOptions options;
+  options.prune_to_goal = false;
+  ContainmentOutcome out = CheckLinearContainmentFrom(
+      start, {Atom(v_, {x_, y_})}, tgds, &u_, /*max_depth=*/50,
+      /*max_facts=*/50, options);
+  EXPECT_EQ(out.verdict, ContainmentVerdict::kUnknown);
+  EXPECT_EQ(out.chase.status, ChaseStatus::kBudgetExceeded);
+  EXPECT_EQ(out.chase.exhausted, ChaseExhausted::kFacts);
+  EXPECT_LE(out.chase.instance.NumFacts(), 51u);
+}
+
+// A linear check that reaches the engine tier is one chase run, and its
+// rounds are chase rounds; a check the countermodel refutes runs no chase.
+TEST_F(LinearChaseTest, EngineTierCountsAsAChaseRun) {
+  MetricsRegistry& r = MetricsRegistry::Default();
+  Counter* runs = r.GetCounter("chase.runs");
+  Counter* rounds = r.GetCounter("chase.rounds");
+  Counter* countermodel = r.GetCounter("containment.prune.countermodel_hits");
+  Instance start;
+  start.AddFact(p_, {a_});
+
+  uint64_t runs_before = runs->value();
+  uint64_t rounds_before = rounds->value();
+  ContainmentOutcome chased = Linear(start, {Atom(w_, {z_, q_})}, Chain());
+  EXPECT_EQ(chased.verdict, ContainmentVerdict::kContained);
+  EXPECT_EQ(chased.chase.rounds, 3u);
+  EXPECT_EQ(runs->value(), runs_before + 1);
+  EXPECT_EQ(rounds->value(), rounds_before + 3);
+
+  // Goal-directed: S(b, y) is signature-reachable, but the finite model
+  // of P(a) under the chain has no S fact with b.
+  runs_before = runs->value();
+  const uint64_t refuted_before = countermodel->value();
+  ContainmentOutcome refuted = CheckLinearContainmentFrom(
+      start, {Atom(s_, {b_, y_})}, Chain(), &u_, /*max_depth=*/50);
+  EXPECT_EQ(refuted.verdict, ContainmentVerdict::kNotContained);
+  EXPECT_EQ(countermodel->value(), refuted_before + 1);
+  EXPECT_EQ(runs->value(), runs_before);
 }
 
 // Cyclic IDs: the linearized chase never terminates, so only the JK bound

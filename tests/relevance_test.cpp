@@ -1,12 +1,11 @@
 // Unit tests for the goal-directed relevance analysis (chase/relevance.h):
 // backward reachability over TGD / FD / cardinality-rule graphs, the
 // forward relation-signature closure the containment prefilter uses, the
-// overprune fault injection, and --prune resolution. The soundness
-// obligations these pin down are the ones the goal-pruned-vs-full fuzz
-// checker cross-validates at scale.
+// overprune fault injection and the witness-reuse countermodel. The
+// soundness obligations these pin down are the ones the goal-pruned-vs-full
+// fuzz checker cross-validates at scale.
 #include "chase/relevance.h"
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -420,25 +419,6 @@ TEST_F(RelevanceTest, CounterModelEmptyBodyTgd) {
   EXPECT_FALSE(CounterModelRefutesGoals(start, {{Atom(s_, {x_, y_})}}, tgds,
                                         {}, &universe_, 4096,
                                         /*max_rounds=*/1));
-}
-
-TEST(ResolvePruneTest, ExplicitRequestWinsOverEnvironment) {
-  setenv("RBDA_PRUNE", "0", 1);
-  EXPECT_TRUE(ResolvePrune(1));
-  EXPECT_FALSE(ResolvePrune(0));
-  unsetenv("RBDA_PRUNE");
-}
-
-TEST(ResolvePruneTest, EnvironmentFallbackAndDefault) {
-  unsetenv("RBDA_PRUNE");
-  EXPECT_TRUE(ResolvePrune(-1));  // default: pruning on
-  setenv("RBDA_PRUNE", "0", 1);
-  EXPECT_FALSE(ResolvePrune(-1));
-  setenv("RBDA_PRUNE", "off", 1);
-  EXPECT_FALSE(ResolvePrune(-1));
-  setenv("RBDA_PRUNE", "1", 1);
-  EXPECT_TRUE(ResolvePrune(-1));
-  unsetenv("RBDA_PRUNE");
 }
 
 }  // namespace

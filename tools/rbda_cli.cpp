@@ -1,7 +1,6 @@
 // rbda — command-line front end to the library.
 //
 //   rbda decide <schema.rbda> [--finite] [--naive] [--jobs=N]
-//              [--prune=on|off]
 //       Decide monotone answerability of every query in the document.
 //       Every query's line is printed; the exit status is 1 when any
 //       query's decide ended in an error Status (its line reads ERROR).
@@ -9,10 +8,6 @@
 //       re-parses the document into its own Universe); output is printed
 //       in query order either way, so reports are identical at any job
 //       count. RBDA_JOBS is consulted when the flag is absent.
-//       --prune=off disables goal-directed relevance pruning in the
-//       containment chases (chase/relevance.h); RBDA_PRUNE=0 is the env
-//       equivalent, consulted when the flag is absent. Also honored by
-//       `rbda containment`.
 //   rbda plan <schema.rbda> <query-name> [--rounds=N]
 //       Synthesize a monotone plan (proof-driven, universal fallback).
 //   rbda run <schema.rbda> <query-name> [--selector=first|last|random]
@@ -61,7 +56,6 @@
 #include <vector>
 
 #include "chase/containment.h"
-#include "chase/relevance.h"
 #include "core/answerability.h"
 #include "core/proof_plans.h"
 #include "core/certificates.h"
@@ -124,7 +118,6 @@ struct CliOptions {
   size_t rounds = 3;             // plan
   size_t attempts = 300;         // oracle
   size_t jobs = 0;               // decide: 0 = consult RBDA_JOBS
-  int prune = -1;  // decide/containment: -1 = consult RBDA_PRUNE, default on
   std::vector<std::string> positional;
 
   static bool Parse(int argc, char** argv, CliOptions* out);
@@ -228,16 +221,6 @@ bool CliOptions::Parse(int argc, char** argv, CliOptions* out) {
         return false;
       }
       out->jobs = static_cast<size_t>(n);
-    } else if (key == "--prune") {
-      if (value.empty() || value == "on" || value == "1") {
-        out->prune = 1;
-      } else if (value == "off" || value == "0") {
-        out->prune = 0;
-      } else {
-        std::fprintf(stderr, "--prune expects on|off, got '%s'\n",
-                     value.c_str());
-        return false;
-      }
     } else if (key == "--attempts") {
       if (!ParseUint(value, &n)) {
         std::fprintf(stderr, "--attempts expects a number, got '%s'\n",
@@ -281,7 +264,6 @@ QueryReport DecideOneQuery(const ParsedDocument& doc, Universe* universe,
   const ConjunctiveQuery& query = doc.queries.at(name);
   DecisionOptions options;
   options.force_naive = cli.naive;
-  options.chase.prune_to_goal = ResolvePrune(cli.prune);
   FrozenQuery frozen = FreezeQuery(query, universe);
   DecisionOptions adjusted = options;
   adjusted.accessible_constants = frozen.accessible_constants;
@@ -471,10 +453,8 @@ int CmdContainment(ParsedDocument& doc, Universe* universe,
   if (q1 == nullptr || q2 == nullptr) return 1;
   ConjunctiveQuery b1 = ConjunctiveQuery::Boolean(q1->atoms());
   ConjunctiveQuery b2 = ConjunctiveQuery::Boolean(q2->atoms());
-  ChaseOptions chase;
-  chase.prune_to_goal = ResolvePrune(cli.prune);
   ContainmentOutcome outcome =
-      CheckContainment(b1, b2, doc.schema.constraints(), universe, chase);
+      CheckContainment(b1, b2, doc.schema.constraints(), universe);
   const char* verdict = outcome.verdict == ContainmentVerdict::kContained
                             ? "CONTAINED"
                         : outcome.verdict == ContainmentVerdict::kNotContained

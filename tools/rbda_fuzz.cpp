@@ -3,7 +3,7 @@
 //   rbda_fuzz [--seed=N] [--iters=N] [--fragment=id|fd|uidfd|chain]
 //             [--shrink=0|1] [--out-dir=path] [--inject-bug[=kind]]
 //             [--checkers=name,...] [--fault-plans=N] [--jobs=N]
-//             [--prune=on|off] [--metrics[=path]] [--trace=path]
+//             [--metrics[=path]] [--trace=path]
 //             [--trace-format=jsonl|chrome]
 //       Generate cases, run the checker battery, shrink findings, write
 //       repro files. Exit code: 0 = all checkers agreed on every case,
@@ -23,8 +23,8 @@
 //   --inject-bug=overprune — drops one backward-reachable relation from the
 //     relevance closure (CheckerOptions::inject_overprune_bug; the
 //     goal-pruned checker must flag the verdict flips)
-//   --inject-bug=stale-goal — the linear engine's goal matcher stops
-//     re-checking unmatched goal components after the first depth
+//   --inject-bug=stale-goal — the Johnson–Klug check's goal matcher stops
+//     re-checking unmatched goal components after the first round
 //     (CheckerOptions::inject_stale_goal_bug; the linear-vs-generic checker
 //     must flag the missed goals)
 // --checkers restricts the battery to the named checkers (comma-separated:
@@ -33,15 +33,12 @@
 // --fault-plans
 // sets how many mutated fault plans the fault-injection checker runs per
 // case.
-// --prune=off disables goal-directed relevance pruning in every decide the
-// battery runs (default on; RBDA_PRUNE=0 is the env equivalent).
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 
-#include "chase/relevance.h"
 #include "fuzz/fuzzer.h"
 #include "obs/chrome_trace.h"
 #include "obs/json.h"
@@ -57,7 +54,7 @@ int Usage() {
       stderr,
       "usage: rbda_fuzz [--seed=N] [--iters=N] "
       "[--fragment=id|fd|uidfd|chain] [--shrink=0|1] [--out-dir=path]\n"
-      "                 [--jobs=N] [--prune=on|off]\n"
+      "                 [--jobs=N]\n"
       "                 "
       "[--inject-bug[=simplification|partial|overprune|stale-goal]] "
       "[--checkers=name,...] [--fault-plans=N]\n"
@@ -89,7 +86,6 @@ bool ParseUint(const std::string& text, uint64_t* out) {
 
 struct FuzzCli {
   FuzzOptions fuzz;
-  int prune = -1;  // -1 = unset (RBDA_PRUNE env, then default on)
   std::string replay_path;
   bool metrics = false;
   std::string metrics_path;
@@ -210,16 +206,6 @@ bool FuzzCli::Parse(int argc, char** argv, FuzzCli* out) {
         return false;
       }
       out->fuzz.checkers.fault_plans = static_cast<size_t>(n);
-    } else if (key == "--prune") {
-      if (value.empty() || value == "on" || value == "1") {
-        out->prune = 1;
-      } else if (value == "off" || value == "0") {
-        out->prune = 0;
-      } else {
-        std::fprintf(stderr, "--prune expects on|off, got '%s'\n",
-                     value.c_str());
-        return false;
-      }
     } else if (key == "--replay") {
       if (value.empty()) {
         std::fprintf(stderr, "--replay requires a path\n");
@@ -248,7 +234,6 @@ bool FuzzCli::Parse(int argc, char** argv, FuzzCli* out) {
       return false;
     }
   }
-  out->fuzz.checkers.decide.chase.prune_to_goal = ResolvePrune(out->prune);
   return true;
 }
 

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "chase/relevance.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
@@ -47,7 +46,7 @@ int Usage() {
       "[--max-queue=N] [--tenant-inflight=N] [--max-frame-bytes=N] "
       "[--idle-timeout-ms=N] [--default-deadline-ms=N] "
       "[--max-deadline-ms=N] [--drain-timeout-ms=N] [--schema=NAME=FILE] "
-      "[--prune=on|off] [--enable-debug-sleep] [--metrics-json=FILE]\n");
+      "[--enable-debug-sleep] [--metrics-json=FILE]\n");
   return 2;
 }
 
@@ -70,7 +69,6 @@ int main(int argc, char** argv) {
   ServerOptions options;
   std::vector<std::pair<std::string, std::string>> preload;
   std::string metrics_json_path;
-  int prune = -1;  // -1 = consult RBDA_PRUNE, default on
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -102,15 +100,6 @@ int main(int argc, char** argv) {
       options.max_deadline_ms = n;
     } else if (arg == "--drain-timeout-ms" && ParseUint(value, &n)) {
       options.drain_timeout_ms = n;
-    } else if (arg == "--prune") {
-      if (value.empty() || value == "on" || value == "1") {
-        prune = 1;
-      } else if (value == "off" || value == "0") {
-        prune = 0;
-      } else {
-        std::fprintf(stderr, "--prune expects on|off\n");
-        return Usage();
-      }
     } else if (arg == "--enable-debug-sleep") {
       options.enable_debug_sleep = true;
     } else if (arg == "--metrics-json") {
@@ -127,8 +116,6 @@ int main(int argc, char** argv) {
       return Usage();
     }
   }
-
-  options.decide.chase.prune_to_goal = ResolvePrune(prune);
 
   ServeServer server(options);
   Status started = server.Start();
