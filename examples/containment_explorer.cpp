@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
                 static_cast<size_t>(decision->chase_facts));
     if (decision->depth_bound > 0) {
       std::printf("JK depth:  reached %llu of bound %llu\n",
-                  static_cast<unsigned long long>(decision->depth_reached),
+                  static_cast<unsigned long long>(decision->chase_rounds),
                   static_cast<unsigned long long>(decision->depth_bound));
     }
 

@@ -253,15 +253,18 @@ class IndexTable {
 
 class Engine {
  public:
+  // `frontier_rounds` asks for frontier rounds (see chase.h); the caller
+  // guarantees one-body-atom TGDs, no FDs and no cardinality rules.
   Engine(const Instance& start, const std::vector<Tgd>& tgds,
          const std::vector<Fd>& fds, Universe* universe,
          const ChaseOptions& options,
-         const std::vector<CardinalityRule>& rules)
+         const std::vector<CardinalityRule>& rules, bool frontier_rounds)
       : tgds_(tgds),
         fds_(fds),
         universe_(universe),
         options_(options),
-        rules_(rules) {
+        rules_(rules),
+        frontier_rounds_(frontier_rounds) {
     result_.instance = start;
   }
 
@@ -349,7 +352,7 @@ class Engine {
       } else {
         Metrics().delta_full_rounds->Increment();
       }
-      uint64_t fired = frontier_rounds_ ? FireFrontierRound(round, delta)
+      uint64_t fired = frontier_rounds_ ? FireFrontierRound(round)
                                         : FireTgdRound(round, delta);
       if (!budget_tripped_) fired += FireCardinalityRound(delta);
       if (TraceEnabled()) {
@@ -398,22 +401,17 @@ class Engine {
   // Compiles each TGD once per chase, after the start's goal check, so a
   // run whose goal already holds compiles nothing. Goal-directed pruning
   // (chase/relevance.h) leaves the irrelevant TGDs and rules out; plan_tgd_
-  // keeps ChaseStep::tgd_index indexing the caller's TGD list. Picks
-  // frontier rounds when nothing but one-body-atom TGDs can fire.
+  // keeps ChaseStep::tgd_index indexing the caller's TGD list. Frontier
+  // rounds also get their index and round 1's frontier.
   void Compile() {
     const std::vector<bool>* relevant = options_.relevant_relations;
     uint32_t num_slots = 0;
-    RelationId max_body = 0;
-    frontier_rounds_ = fds_.empty() && rules_.empty();
     plans_.reserve(tgds_.size());
     for (size_t i = 0; i < tgds_.size(); ++i) {
       const Tgd& tgd = tgds_[i];
       if (relevant != nullptr && !TgdIsRelevant(tgd, *relevant)) continue;
-      const CompiledTgd& plan = plans_.emplace_back(tgd);
-      num_slots = std::max(num_slots, plan.num_slots());
+      num_slots = std::max(num_slots, plans_.emplace_back(tgd).num_slots());
       plan_tgd_.push_back(i);
-      frontier_rounds_ = frontier_rounds_ && tgd.body().size() == 1;
-      if (frontier_rounds_) max_body = std::max(max_body, plan.body_relation());
     }
     slots_.resize(num_slots);
     if (relevant != nullptr) {
@@ -422,7 +420,9 @@ class Engine {
         rule_enabled_.push_back(CardinalityRuleIsRelevant(rule, *relevant));
       }
     }
-    if (!frontier_rounds_ || plans_.empty()) return;
+    if (!frontier_rounds_) return;
+    result_.instance.ForEachFact([&](FactRef f) { frontier_.push_back(f); });
+    if (plans_.empty()) return;
     // The by-body-relation index: plan indices grouped by body relation,
     // in TGD order within a group; relation r's group is
     // by_body_[body_begin_[r], body_begin_[r + 1]).
@@ -432,7 +432,7 @@ class Engine {
       return std::pair(plans_[a].body_relation(), a) <
              std::pair(plans_[b].body_relation(), b);
     });
-    body_begin_.resize(size_t{max_body} + 2);
+    body_begin_.resize(size_t{plans_[by_body_.back()].body_relation()} + 2);
     size_t k = 0;
     for (size_t r = 0; r < body_begin_.size(); ++r) {
       while (k < by_body_.size() && plans_[by_body_[k]].body_relation() < r) {
@@ -496,19 +496,18 @@ class Engine {
 
   // A frontier round, for TGDs with one body atom (see chase.h): goes
   // through the frontier fact by fact and fires, for each fact, the TGDs
-  // whose body atom it matches, in TGD order. The frontier is the facts
-  // the previous round created, in creation order; with `delta` null, every
-  // fact in ForEachFact order. Firings only append, so the frontier's row
-  // views stay valid. Stops early when a firing trips the fact budget.
-  // Returns the number of firings.
-  uint64_t FireFrontierRound(uint64_t round, const Instance::DeltaMark* delta) {
+  // whose body atom it matches, in TGD order. Round 1's frontier is every
+  // start fact, in ForEachFact order. A later round's is the facts the
+  // previous round created, in creation order; without use_semi_naive it
+  // is every fact so far in that same order, and since an older fact's
+  // triggers are all satisfied by then, it fires the same triggers in the
+  // same order. Firings only append, so the frontier's row views stay
+  // valid. Stops early when a firing trips the fact budget. Returns the
+  // number of firings.
+  uint64_t FireFrontierRound(uint64_t round) {
     const uint64_t steps = result_.tgd_steps;
     Instance& inst = result_.instance;
-    if (delta == nullptr) {
-      frontier_.clear();
-      inst.ForEachFact([&](FactRef f) { frontier_.push_back(f); });
-    }
-    created_.clear();  // the next round's frontier
+    created_.clear();
     for (FactRef fact : frontier_) {
       const size_t rel = fact.relation();
       if (rel + 1 >= body_begin_.size()) continue;
@@ -521,7 +520,11 @@ class Engine {
       }
       if (budget_tripped_) break;
     }
-    frontier_.swap(created_);
+    if (options_.use_semi_naive) {
+      frontier_.swap(created_);
+    } else {
+      frontier_.insert(frontier_.end(), created_.begin(), created_.end());
+    }
     return result_.tgd_steps - steps;
   }
 
@@ -751,7 +754,7 @@ class Engine {
   std::vector<size_t> plan_tgd_;
   // Frontier rounds (see Compile): the plans by body relation, and the
   // facts the next round fires on.
-  bool frontier_rounds_ = false;
+  const bool frontier_rounds_;
   std::vector<uint32_t> by_body_;
   std::vector<uint32_t> body_begin_;
   std::vector<FactRef> frontier_;
@@ -782,7 +785,7 @@ ChaseResult RunChase(const Instance& start, const ConstraintSet& constraints,
                      Universe* universe, const ChaseOptions& options,
                      const std::vector<CardinalityRule>& cardinality_rules) {
   Engine engine(start, constraints.tgds, constraints.fds, universe, options,
-                cardinality_rules);
+                cardinality_rules, /*frontier_rounds=*/false);
   return engine.Run(nullptr, nullptr);
 }
 
@@ -801,7 +804,20 @@ ChaseResult RunChaseUntilAny(
     const std::vector<Fd>& fds, const std::vector<std::vector<Atom>>& goals,
     Universe* universe, bool* goal_reached, const ChaseOptions& options,
     const std::vector<CardinalityRule>& cardinality_rules) {
-  Engine engine(start, tgds, fds, universe, options, cardinality_rules);
+  Engine engine(start, tgds, fds, universe, options, cardinality_rules,
+                /*frontier_rounds=*/false);
+  return engine.Run(&goals, goal_reached);
+}
+
+ChaseResult RunFrontierChaseUntilAny(
+    const Instance& start, const std::vector<Tgd>& tgds,
+    const std::vector<std::vector<Atom>>& goals, Universe* universe,
+    bool* goal_reached, const ChaseOptions& options) {
+  for (const Tgd& tgd : tgds) RBDA_CHECK(tgd.body().size() == 1);
+  const std::vector<Fd> no_fds;
+  const std::vector<CardinalityRule> no_rules;
+  Engine engine(start, tgds, no_fds, universe, options, no_rules,
+                /*frontier_rounds=*/true);
   return engine.Run(&goals, goal_reached);
 }
 

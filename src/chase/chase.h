@@ -23,22 +23,24 @@
 // (chase/trigger_plan.h), after the start's goal check, so a run whose goal
 // already holds compiles nothing.
 //
-// One engine, two orders of firing within a round, picked from the input:
-//   * Frontier rounds, when there are no FDs and no cardinality rules and
-//     every TGD the run compiles has one body atom (IDs and linear TGDs,
-//     the Johnson–Klug tier of chase/containment.h). Round k goes through
-//     the facts round k-1 created (round 1: every start fact, in
-//     ForEachFact order) in creation order, and fires each fact's TGDs in
-//     TGD order, found through a by-body-relation index; each activeness
-//     test counts in containment.activeness_checks. A trigger has one body
-//     fact, so round k creates exactly the facts of derivation depth k: a
-//     depth bound is a max_rounds bound (DESIGN.md, "Frontier rounds").
-//     Without use_semi_naive the frontier is every fact, in ForEachFact
-//     order, which is the naive reference.
-//   * TGD-major rounds otherwise: TGD by TGD, each TGD's triggers are
-//     materialized as slot tuples, deduplicated by their exported slots,
-//     and fired from the slots. A round's delta has no upper end, so a
-//     round can fire on facts created earlier in the same round.
+// One engine, two orders of firing within a round, picked by the entry:
+//   * TGD-major rounds, for RunChase, RunChaseUntil and RunChaseUntilAny:
+//     TGD by TGD, each TGD's triggers are materialized as slot tuples,
+//     deduplicated by their exported slots, and fired from the slots. A
+//     round's delta has no upper end, so a round can fire on facts created
+//     earlier in the same round.
+//   * Frontier rounds, for RunFrontierChaseUntilAny only: TGDs with one
+//     body atom, no FDs, no cardinality rules (the Johnson–Klug tier of
+//     chase/containment.h). Round k goes through the facts round k-1
+//     created (round 1: every start fact, in ForEachFact order) in creation
+//     order, and fires each fact's TGDs in TGD order, found through a
+//     by-body-relation index; each activeness test counts in
+//     containment.activeness_checks. A trigger has one body fact, so round
+//     k creates exactly the facts of derivation depth k: a depth bound is a
+//     max_rounds bound (DESIGN.md, "Frontier rounds"). Without
+//     use_semi_naive a round's frontier is every fact so far, in that same
+//     order; it fires the same triggers, since an older fact's triggers are
+//     all satisfied.
 //
 // FD repair runs after every round (and once before round 1). It first
 // checks only the facts added since the previous repair (every fact on the
@@ -215,6 +217,15 @@ ChaseResult RunChaseUntilAny(
     const std::vector<Fd>& fds, const std::vector<std::vector<Atom>>& goals,
     Universe* universe, bool* goal_reached, const ChaseOptions& options = {},
     const std::vector<CardinalityRule>& cardinality_rules = {});
+
+/// RunChaseUntilAny in frontier rounds (see the top of this file), so
+/// round k is derivation level k and max_rounds bounds the depth. Every
+/// TGD in `tgds` must have one body atom (checked). The Johnson–Klug
+/// tier's entry.
+ChaseResult RunFrontierChaseUntilAny(
+    const Instance& start, const std::vector<Tgd>& tgds,
+    const std::vector<std::vector<Atom>>& goals, Universe* universe,
+    bool* goal_reached, const ChaseOptions& options = {});
 
 }  // namespace rbda
 

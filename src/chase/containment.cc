@@ -59,10 +59,11 @@ const char* VerdictName(ContainmentVerdict v) {
 // The one tier sequence behind every front end (see the header): the
 // check holds when any of `goals` follows from `start` under the TGDs,
 // FDs and cardinality rules. The engine tier chases under `options`. With
-// `depth_bounded` (the Johnson–Klug tier) a chase the rounds budget stops
-// still reads kNotContained: a decision only when max_rounds is the JK
-// bound, which the caller knows. Only this function counts, times, traces
-// and profiles a check.
+// `depth_bounded` (the Johnson–Klug tier: one-body-atom TGDs only) it runs
+// frontier rounds, so a round is a derivation level, and a chase the
+// rounds budget stops still reads kNotContained: a decision only when
+// max_rounds is the JK bound, which the caller knows. Only this function
+// counts, times, traces and profiles a check.
 ContainmentOutcome RunTiers(const char* span_name, const Instance& start,
                             const std::vector<std::vector<Atom>>& goals,
                             const std::vector<Tgd>& tgds,
@@ -120,8 +121,11 @@ ContainmentOutcome RunTiers(const char* span_name, const Instance& start,
     // Tier 4: the chase, restricted to the relevance-enabled constraints.
     options.relevant_relations = relevant;
     bool goal_reached = false;
-    out.chase = RunChaseUntilAny(start, tgds, fds, goals, universe,
-                                 &goal_reached, options, rules);
+    out.chase = depth_bounded
+                    ? RunFrontierChaseUntilAny(start, tgds, goals, universe,
+                                               &goal_reached, options)
+                    : RunChaseUntilAny(start, tgds, fds, goals, universe,
+                                       &goal_reached, options, rules);
     if (goal_reached || out.chase.status == ChaseStatus::kFdConflict) {
       // On a conflict no instance satisfies Q together with Σ, so the
       // containment holds vacuously.

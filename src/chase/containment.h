@@ -6,15 +6,15 @@
 //    (e.g. FDs + full TGDs, weakly-acyclic TGDs). Reports kUnknown when a
 //    budget runs out before termination.
 //  * CheckLinearContainment — the Johnson–Klug tier for *linear* TGDs
-//    (single body atom): the same engine, with max_rounds set to a depth
-//    bound. On such Σ the engine runs frontier rounds, so round k creates
-//    exactly the facts of derivation depth k, and the chase is sound AND
-//    complete when run to the JK depth bound for IDs / linear TGDs of
-//    bounded semi-width (paper Prop 5.6 / E.8). This is the tier behind the
-//    paper's NP results after linearization. A run the bound stops still
-//    reads kNotContained; the caller knows whether the bound was the JK
-//    bound. tests/linear_chase_test.cpp pins the chase: facts, order,
-//    nulls.
+//    (single body atom): the same engine in frontier rounds
+//    (RunFrontierChaseUntilAny), with max_rounds set to a depth bound.
+//    Round k then creates exactly the facts of derivation depth k, and the
+//    chase is sound AND complete when run to the JK depth bound for IDs /
+//    linear TGDs of bounded semi-width (paper Prop 5.6 / E.8). This is the
+//    tier behind the paper's NP results after linearization. A run the
+//    bound stops still reads kNotContained; the caller knows whether the
+//    bound was the JK bound. tests/linear_chase_test.cpp pins the chase:
+//    facts, order, nulls.
 //
 // Every saturation loop behind a containment check — the engine's rounds
 // and the witness-reuse countermodel tier (relevance.h) — runs on compiled

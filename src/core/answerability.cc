@@ -191,7 +191,6 @@ StatusOr<Decision> LinearPipeline(const ServiceSchema& schema,
   d.verdict = FromVerdict(outcome.verdict);
   d.gamma_size = lin->tgds.size();
   d.depth_bound = lin->jk_depth_bound;
-  d.depth_reached = outcome.chase.rounds;  // a frontier round is one level
   FillStats(&d, outcome);
   // A kNotContained verdict is a decision when the chase either terminated
   // on its own or ran to the full JK bound; a chase the depth cap stopped

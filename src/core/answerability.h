@@ -59,9 +59,8 @@ struct Decision {
   uint64_t chase_rounds = 0;
   uint64_t chase_facts = 0;
   uint64_t tgd_steps = 0;
-  uint64_t depth_bound = 0;    // linear pipeline only
-  uint64_t depth_reached = 0;  // linear pipeline only: chase rounds
-  size_t gamma_size = 0;       // number of TGDs chased
+  uint64_t depth_bound = 0;  // linear pipeline only
+  size_t gamma_size = 0;     // number of TGDs chased
 };
 
 /// Decides monotone answerability of the Boolean CQ `q` w.r.t. `schema`.

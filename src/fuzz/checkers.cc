@@ -296,7 +296,7 @@ CheckReport RunCheckerBattery(const ServiceSchema& schema,
     }
   }
 
-  // --- linear-vs-generic: the JK check against the naive reference. ---
+  // --- linear-vs-generic: the JK check against the generic chase. ---
   if (options.check_linear_generic) {
     bool ran = false;
     StatusOr<LinearizedProblem> lin =
@@ -310,10 +310,10 @@ CheckReport RunCheckerBattery(const ServiceSchema& schema,
       ContainmentOutcome linear = CheckLinearContainmentFrom(
           lin->start, lin->goal, lin->tgds, &universe, depth,
           options.decide.linear_max_facts, linear_opts);
-      // Both sides run frontier rounds. With use_semi_naive off, this
-      // side's frontier is every fact in ForEachFact order and its goal
-      // checks are full, so it shares neither the creation-order frontier
-      // nor the delta goal checks with the Johnson–Klug side.
+      // The generic front end runs TGD-major rounds, and with
+      // use_semi_naive off its trigger enumeration and goal checks are
+      // full, so it shares neither the frontier order nor the delta goal
+      // checks with the Johnson–Klug side.
       ChaseOptions generic_opts = options.decide.chase;
       generic_opts.use_semi_naive = false;
       generic_opts.max_rounds = depth;

@@ -32,8 +32,8 @@
 //    finding.
 //  * linear-vs-generic        — for cases the decider linearizes (IDs,
 //    UIDs+FDs), the Johnson–Klug check (semi-naive frontier rounds) against
-//    the generic front end running the naive reference (use_semi_naive
-//    off: every round's frontier is every fact) to the same depth and fact
+//    the generic front end (TGD-major rounds, use_semi_naive off: full
+//    trigger enumeration and goal checks) run to the same depth and fact
 //    budget on the same linearized problem; definite verdicts (kContained,
 //    or kNotContained from a terminated chase) must agree.
 //  * fault-injection          — the synthesized monotone plan executed

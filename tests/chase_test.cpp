@@ -598,6 +598,31 @@ TEST_F(ChaseTest, CardinalityBoundAboveSourceCount) {
   }
 }
 
+// TGD-major rounds also for TGDs with one body atom: within round 1 the
+// symmetric TGD fires on the R(n1, a) the existential one just made, so
+// R(a, n1) witnesses R(n1, a)'s trigger and round 2 fires nothing. Going
+// fact by fact in creation order instead tries the existential TGD on
+// R(n1, a) before R(a, n1) exists and mints a null in every round.
+TEST_F(ChaseTest, OneBodyAtomTgdsKeepTgdMajorRounds) {
+  ConstraintSet cs;
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
+                       std::vector<Atom>{Atom(r_, {z_, x_})});
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
+                       std::vector<Atom>{Atom(r_, {y_, x_})});
+  Instance start;
+  start.AddFact(r_, {a_, b_});
+  for (bool semi : {true, false}) {
+    ChaseOptions options;
+    options.use_semi_naive = semi;
+    options.max_rounds = 40;
+    ChaseResult result = RunChase(start, cs, &universe_, options);
+    EXPECT_EQ(result.status, ChaseStatus::kCompleted) << "semi=" << semi;
+    EXPECT_EQ(result.rounds, 2u);
+    EXPECT_EQ(result.tgd_steps, 3u);
+    EXPECT_EQ(result.instance.NumFacts(), 4u);
+  }
+}
+
 // ---- Pins of the generic engine's trigger path. ----
 //
 // Each case renders the whole run — rounds, firings, every recorded
@@ -699,10 +724,7 @@ TEST_F(ChasePinTest, ExistentialSharedAcrossThreeHeadAtoms) {
 }
 
 // A body with a repeated variable and a constant: V(x, x, c) → S(x, z),
-// then S(x, y) → T(y). Both TGDs have one body atom, so the chase runs
-// frontier rounds: the S facts round 1 creates fire in round 2, and round 3
-// finds nothing (a TGD-major round fired them in round 1, for rounds=2 with
-// the same steps, nulls and facts).
+// then S(x, y) → T(y).
 TEST_F(ChasePinTest, BodyWithConstantAndRepeatedVariable) {
   RelationId v = *universe_.AddRelation("V", 3);
   Term d = universe_.Constant("d");
@@ -717,11 +739,11 @@ TEST_F(ChasePinTest, BodyWithConstantAndRepeatedVariable) {
   start.AddFact(v, {b_, b_, d});   // constant c does not unify
   start.AddFact(v, {d, d, c_});
   EXPECT_EQ(Chase(start, cs),
-            "rounds=3 tgd_steps=4 facts=8\n"
+            "rounds=2 tgd_steps=4 facts=8\n"
             "step round=1 tgd=0 {x=a z=_n0 } + S(a, _n0)\n"
             "step round=1 tgd=0 {x=d z=_n1 } + S(d, _n1)\n"
-            "step round=2 tgd=1 {x=a y=_n0 } + T(_n0)\n"
-            "step round=2 tgd=1 {x=d y=_n1 } + T(_n1)\n"
+            "step round=1 tgd=1 {x=a y=_n0 } + T(_n0)\n"
+            "step round=1 tgd=1 {x=d y=_n1 } + T(_n1)\n"
             "S(a, _n0)\n"
             "S(d, _n1)\n"
             "T(_n0)\n"

@@ -220,7 +220,7 @@ TEST(FuzzLoopTest, InjectedStaleGoalBugIsCaughtAndShrunk) {
   // --inject-bug=stale-goal: the Johnson–Klug check's goal matcher stops
   // re-checking unmatched goal components after the first round, so it
   // misses goals that first match deeper. The linear-vs-generic checker
-  // must catch the disagreement with the naive reference and the shrinker
+  // must catch the disagreement with the generic chase and the shrinker
   // must minimize the document.
   FuzzOptions options;
   options.seed = 1;

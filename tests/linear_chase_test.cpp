@@ -302,6 +302,51 @@ TEST_F(LinearChaseTest, FactBudgetStopsInsideARound) {
   EXPECT_LE(out.chase.instance.NumFacts(), 51u);
 }
 
+// Without use_semi_naive a frontier round goes through every fact so far,
+// in the semi-naive run's order, so it fires the same triggers. On this Σ
+// the order decides termination: round 2 meets R(a, n1) before U(a, a),
+// mints T(a, n2) and starts an endless T chain, one null per round. A
+// frontier of every fact grouped by relation meets U(a, a) first, and
+// T(a, a) then witnesses R(a, n1), so that chase would end in round 3.
+TEST(LinearFrontierTest, NaiveFrontierFiresTheSemiNaiveTriggers) {
+  auto run = [](bool semi_naive) {
+    Universe u;
+    RelationId p = *u.AddRelation("P", 2);
+    RelationId r = *u.AddRelation("R", 2);
+    RelationId un = *u.AddRelation("U", 2);
+    RelationId t = *u.AddRelation("T", 2);
+    RelationId g = *u.AddRelation("G", 1);
+    Term x = u.Variable("x"), y = u.Variable("y"), z = u.Variable("z");
+    std::vector<Tgd> tgds;
+    auto add = [&tgds](Atom body, Atom head) {
+      tgds.emplace_back(std::vector<Atom>{body}, std::vector<Atom>{head});
+    };
+    add(Atom(p, {x, y}), Atom(r, {x, z}));   // P(x, y) → ∃z R(x, z)
+    add(Atom(p, {x, y}), Atom(un, {x, y}));  // P(x, y) → U(x, y)
+    add(Atom(r, {x, y}), Atom(t, {x, z}));   // R(x, y) → ∃z T(x, z)
+    add(Atom(un, {x, y}), Atom(t, {x, y}));  // U(x, y) → T(x, y)
+    add(Atom(t, {x, y}), Atom(t, {y, z}));   // T(x, y) → ∃z T(y, z)
+    Instance start;
+    start.AddFact(p, {u.Constant("a"), u.Constant("a")});
+    start.AddFact(un, {u.Constant("c"), u.Constant("c")});
+    const std::vector<std::vector<Atom>> goals{{Atom(g, {x})}};
+    ChaseOptions options;
+    options.use_semi_naive = semi_naive;
+    options.max_rounds = 8;
+    bool reached = true;
+    ChaseResult result =
+        RunFrontierChaseUntilAny(start, tgds, goals, &u, &reached, options);
+    EXPECT_FALSE(reached);
+    EXPECT_EQ(result.status, ChaseStatus::kBudgetExceeded) << semi_naive;
+    EXPECT_EQ(result.exhausted, ChaseExhausted::kRounds) << semi_naive;
+    EXPECT_EQ(result.rounds, 8u);
+    EXPECT_EQ(result.tgd_steps, 11u) << semi_naive;
+    return result.instance.ToString(u);
+  };
+  const std::string semi = run(true);
+  EXPECT_EQ(run(false), semi);
+}
+
 // A linear check that reaches the engine tier is one chase run, and its
 // rounds are chase rounds; a check the countermodel refutes runs no chase.
 TEST_F(LinearChaseTest, EngineTierCountsAsAChaseRun) {
@@ -362,13 +407,13 @@ TEST(LinearDepthCapTest, CapBelowJkBoundIsIncomplete) {
   ASSERT_GT(full.depth_bound, 3u);
   EXPECT_TRUE(full.complete);
   EXPECT_EQ(full.verdict, Answerability::kAnswerable);
-  EXPECT_EQ(full.depth_reached, 3u);
+  EXPECT_EQ(full.chase_rounds, 3u);
 
   Decision capped = DecideWithCap(kCyclicIds, 2);
   EXPECT_FALSE(capped.complete);
   EXPECT_EQ(capped.verdict, Answerability::kUnknown);
   EXPECT_EQ(capped.exhausted, ChaseExhausted::kRounds);
-  EXPECT_EQ(capped.depth_reached, 2u);
+  EXPECT_EQ(capped.chase_rounds, 2u);
 
   Decision at_bound = DecideWithCap(kCyclicIds, full.depth_bound);
   EXPECT_TRUE(at_bound.complete);
@@ -392,7 +437,7 @@ TEST(LinearDepthCapTest, CapAtJkBoundDecidesNonAnswerable) {
   Decision at_bound = DecideWithCap(text, full.depth_bound);
   EXPECT_TRUE(at_bound.complete);
   EXPECT_EQ(at_bound.verdict, Answerability::kNotAnswerable);
-  EXPECT_EQ(at_bound.depth_reached, full.depth_bound);
+  EXPECT_EQ(at_bound.chase_rounds, full.depth_bound);
   EXPECT_EQ(at_bound.exhausted, ChaseExhausted::kNone);
 }
 
